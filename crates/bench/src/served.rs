@@ -186,7 +186,7 @@ pub fn run_served_mix(wh: &Arc<Warehouse>, cfg: &ServedConfig) -> ServedRunResul
 
 /// One stream's full sample scan — the large-result workload for the
 /// memory-ceiling measurement. Every scale generates NL.HGN/BHZ, and at
-/// tiny scale this is already 24 000 rows: hundreds of v2 batches.
+/// tiny scale this is already 24 000 rows: hundreds of batches.
 pub const MEMCEIL_SCAN: &str =
     "SELECT D.sample_value FROM mseed.dataview WHERE F.station = 'HGN' AND F.channel = 'BHZ'";
 
@@ -243,8 +243,8 @@ pub struct MemCeilResult {
 /// the server's outbound-memory high-water mark.
 ///
 /// The client takes one batch, then stalls for `cfg.stall` while the
-/// cursor has thousands of rows pending: a v1-style server would buffer
-/// the whole encoded result; the v2 server must suspend the cursor once
+/// cursor has thousands of rows pending: a whole-frame server would buffer
+/// the whole encoded result; this server must suspend the cursor once
 /// the credit window (and at most the outbuf ceiling) is exhausted. The
 /// drained stream is verified row-for-row against the serial scan.
 pub fn run_memory_ceiling(wh: &Arc<Warehouse>, cfg: &MemCeilConfig) -> MemCeilResult {

@@ -81,7 +81,7 @@ fn usage() -> &'static str {
        --queue-depth N    admission queue depth before BUSY (default 32)\n\
        --parallelism N    worker threads per query's execution pipelines\n\
                           (default 1 = serial executor)\n\
-       --batch-rows N     rows per streamed v2 result batch (default 4096)\n\
+       --batch-rows N     rows per streamed result batch (default 4096)\n\
        --initial-credit N batches a cursor streams before the client must\n\
                           grant credit (default 4)\n\
        --max-outbuf-kib N per-connection outbound buffer ceiling in KiB\n\

@@ -1,24 +1,14 @@
-//! Blocking client for the serving wire protocol (v2 streamed cursors,
-//! with transparent v1 fallback).
+//! Blocking client for the serving wire protocol.
 //!
 //! One [`Client`] owns one TCP connection and issues one request at a
 //! time (the protocol is strictly request→response per connection; open
 //! more clients for parallelism — that is exactly what the E14 loadgen
-//! does). [`Client::connect`] performs the `Hello` version handshake, so
-//! queries stream: [`Client::query`] returns a [`QueryStream`] that
-//! pulls [`ResultBatch`](crate::protocol::Frame::ResultBatch) frames on
+//! does). [`Client::connect`] performs the `Hello` handshake, and queries
+//! stream: [`Client::query`] returns a [`QueryStream`] that pulls
+//! [`ResultBatch`](crate::protocol::Frame::ResultBatch) frames on
 //! demand, granting the server one credit per consumed batch — a client
 //! that stops reading suspends its cursor server-side instead of forcing
 //! the server to buffer the table.
-//!
-//! # Migrating from the v1 `Client`
-//!
-//! The v1 API's `query()` returned a fully-collected `ServerReply`. That
-//! shape survives as [`Client::query_all`]:
-//!
-//! * `client.query(sql)? → ServerReply::Result(r)` (old) becomes either
-//!   `client.query_all(sql)?` (identical semantics, now streamed and
-//!   reassembled under the hood) or, preferably, the streaming form:
 //!
 //! ```no_run
 //! # use lazyetl_server::{Client, QueryReply};
@@ -34,18 +24,19 @@
 //! };
 //! ```
 //!
-//! * `query_retrying` keeps its exact signature and still returns the
-//!   collected `ServerReply`.
+//! * [`Client::query_all`] and [`Client::query_retrying`] collect the
+//!   stream into one table for callers that want the rows, not the
+//!   batches.
 //! * Dropping a [`QueryStream`] mid-result cancels the cursor
 //!   server-side (best effort); [`QueryStream::cancel`] does it
 //!   explicitly and synchronously.
-//! * [`Client::connect_v1`] skips the handshake entirely and speaks the
-//!   original whole-frame protocol — for talking to old servers, and for
-//!   proving v1 compatibility in tests.
+//! * [`Client::subscribe`] opens a live-tail [`Subscription`]: the result
+//!   is re-pushed as a new revision whenever the server's warehouse
+//!   generation moves.
 
 use crate::protocol::{
     frame_bytes_checked, read_frame, Frame, ProtoError, WireMetrics, DEFAULT_MAX_REQUEST,
-    DEFAULT_MAX_RESPONSE, MAX_VERSION, VERSION_V2_1,
+    DEFAULT_MAX_RESPONSE, VERSION,
 };
 use lazyetl_store::Table;
 use std::collections::BTreeMap;
@@ -116,7 +107,7 @@ pub enum QueryReply<'a> {
 }
 
 /// What the server answered to a subscribe request
-/// ([`Client::subscribe`], protocol v2.1).
+/// ([`Client::subscribe`]).
 pub enum SubscribeReply<'a> {
     /// The subscription opened: pull result revisions from it.
     Subscription(Subscription<'a>),
@@ -197,9 +188,6 @@ pub struct Client {
     stream: TcpStream,
     max_response_bytes: u32,
     max_request_bytes: u32,
-    /// Negotiated protocol version (2 after a successful handshake, 1
-    /// for [`Client::connect_v1`]).
-    version: u8,
     /// Server-announced rows per batch (informational).
     batch_rows: u32,
     next_cursor: u32,
@@ -210,8 +198,9 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect and negotiate protocol v2 (streamed cursors). Fails if
-    /// the server does not complete the handshake.
+    /// Connect and perform the `Hello` handshake. Fails if the server
+    /// does not complete it (a peer stamping another protocol version on
+    /// its frames fails here, with `proto.version`).
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         Self::handshake(stream)
@@ -232,47 +221,27 @@ impl Client {
         }))
     }
 
-    /// Connect **without** the version handshake: the original v1
-    /// whole-frame protocol. Queries on this connection return their
-    /// entire result in one frame (the server's compatibility path).
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+    fn handshake(stream: TcpStream) -> std::io::Result<Client> {
         stream.set_nodelay(true)?;
-        Ok(Self::from_stream(stream, 1))
-    }
-
-    fn from_stream(stream: TcpStream, version: u8) -> Client {
-        Client {
+        let mut client = Client {
             stream,
             max_response_bytes: DEFAULT_MAX_RESPONSE,
             max_request_bytes: DEFAULT_MAX_REQUEST,
-            version,
             batch_rows: 0,
             next_cursor: 1,
             pending_drain: None,
-        }
-    }
-
-    fn handshake(stream: TcpStream) -> std::io::Result<Client> {
-        stream.set_nodelay(true)?;
-        let mut client = Self::from_stream(stream, 1);
+        };
         let io_err = |e: ClientError| std::io::Error::new(std::io::ErrorKind::ConnectionAborted, e);
         client.stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         client
             .send(&Frame::Hello {
-                max_version: MAX_VERSION,
+                max_version: VERSION,
             })
             .map_err(io_err)?;
-        let ack = read_frame(&mut client.stream, client.max_response_bytes)
-            .map_err(|e| io_err(e.into()))?;
+        let ack = client.recv().map_err(io_err)?;
         client.stream.set_read_timeout(None)?;
         match ack {
-            Frame::HelloAck {
-                version,
-                batch_rows,
-                ..
-            } => {
-                client.version = version.clamp(1, MAX_VERSION);
+            Frame::HelloAck { batch_rows, .. } => {
                 client.batch_rows = batch_rows;
                 Ok(client)
             }
@@ -280,13 +249,7 @@ impl Client {
         }
     }
 
-    /// Negotiated protocol version of this connection.
-    pub fn protocol_version(&self) -> u8 {
-        self.version
-    }
-
-    /// Rows per streamed batch, as announced by the server (0 on v1
-    /// connections).
+    /// Rows per streamed batch, as announced by the server.
     pub fn batch_rows(&self) -> u32 {
         self.batch_rows
     }
@@ -340,10 +303,8 @@ impl Client {
         self.recv()
     }
 
-    /// Run a SQL query, streaming the result. On a v2 connection the
-    /// returned [`QueryStream`] pulls batches on demand; on a v1
-    /// connection the whole result arrives up front and the stream
-    /// yields it as a single batch (same API either way).
+    /// Run a SQL query, streaming the result: the returned
+    /// [`QueryStream`] pulls batches on demand.
     pub fn query(&mut self, sql: &str) -> Result<QueryReply<'_>, ClientError> {
         self.query_with_delay(sql, 0)
     }
@@ -356,9 +317,6 @@ impl Client {
         delay_ms: u32,
     ) -> Result<QueryReply<'_>, ClientError> {
         self.drain_pending()?;
-        if self.version < 2 {
-            return self.query_v1(sql, delay_ms);
-        }
         let cursor = self.next_cursor;
         self.next_cursor = self.next_cursor.wrapping_add(1).max(1);
         self.send(&Frame::QueryV2 {
@@ -376,7 +334,6 @@ impl Client {
                 cursor,
                 metrics,
                 schema: Arc::try_unwrap(schema).unwrap_or_else(|shared| (*shared).clone()),
-                inline: None,
                 batches: 0,
                 rows: 0,
                 done: false,
@@ -398,48 +355,8 @@ impl Client {
         }
     }
 
-    fn query_v1(&mut self, sql: &str, delay_ms: u32) -> Result<QueryReply<'_>, ClientError> {
-        self.send(&Frame::Query {
-            delay_ms,
-            sql: sql.to_string(),
-        })?;
-        match self.recv()? {
-            Frame::Result { metrics, table } => {
-                let table = Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone());
-                let schema = table
-                    .slice(0, 0)
-                    .map_err(|e| ClientError::Unexpected(format!("schema slice: {e}")))?;
-                Ok(QueryReply::Stream(QueryStream {
-                    client: self,
-                    cursor: 0,
-                    metrics,
-                    schema,
-                    inline: Some(table),
-                    batches: 0,
-                    rows: 0,
-                    done: false,
-                    cancelled: false,
-                }))
-            }
-            Frame::Busy {
-                queue_depth,
-                queued,
-                estimated_rows,
-                cost_budget,
-            } => Ok(QueryReply::Busy {
-                queue_depth,
-                queued,
-                estimated_rows,
-                cost_budget,
-            }),
-            Frame::Error { code, message } => Ok(QueryReply::Error { code, message }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Run a query and collect the whole result — the v1-shaped
-    /// convenience (the old `query()` contract, kept for callers that
-    /// want the table, not the stream).
+    /// Run a query and collect the whole result — the convenience for
+    /// callers that want the table, not the stream.
     pub fn query_all(&mut self, sql: &str) -> Result<ServerReply, ClientError> {
         self.query_all_with_delay(sql, 0)
     }
@@ -493,26 +410,16 @@ impl Client {
         }
     }
 
-    /// Open a live-tail subscription (protocol v2.1): the query runs
-    /// once, streams its result, and then *stays open* — every time the
-    /// server folds repository changes in ([`ServerConfig::refresh_interval`]
+    /// Open a live-tail subscription: the query runs once, streams its
+    /// result, and then *stays open* — every time the server folds
+    /// repository changes in ([`ServerConfig::refresh_interval`]
     /// or query-triggered auto-refresh), the updated result is pushed as
     /// a new revision. The push is O(delta) server-side when the resident
     /// recycled result was patched incrementally.
     ///
-    /// Fails with `client.unexpected` on connections below v2.1 (v1
-    /// clients and pre-subscription v2 servers keep working unchanged —
-    /// they simply cannot subscribe).
-    ///
     /// [`ServerConfig::refresh_interval`]: crate::ServerConfig::refresh_interval
     pub fn subscribe(&mut self, sql: &str) -> Result<SubscribeReply<'_>, ClientError> {
         self.drain_pending()?;
-        if self.version < VERSION_V2_1 {
-            return Err(ClientError::Unexpected(format!(
-                "subscriptions need protocol v2.1; this connection negotiated v{}",
-                self.version
-            )));
-        }
         let cursor = self.next_cursor;
         self.next_cursor = self.next_cursor.wrapping_add(1).max(1);
         self.send(&Frame::Subscribe {
@@ -594,9 +501,6 @@ pub struct QueryStream<'a> {
     cursor: u32,
     metrics: WireMetrics,
     schema: Table,
-    /// v1 compatibility: the whole result arrived up front and streams
-    /// as one batch.
-    inline: Option<Table>,
     batches: u32,
     rows: u64,
     done: bool,
@@ -637,13 +541,6 @@ impl QueryStream<'_> {
         if self.done {
             return Ok(None);
         }
-        if let Some(table) = self.inline.take() {
-            // v1 path: the single pre-collected batch.
-            self.done = true;
-            self.batches = 1;
-            self.rows = table.num_rows() as u64;
-            return Ok(Some(table));
-        }
         match self.client.recv()? {
             Frame::ResultBatch {
                 cursor, table, seq, ..
@@ -669,8 +566,7 @@ impl QueryStream<'_> {
     }
 
     /// Collect every remaining batch into one table (plus the schema
-    /// when the result is empty) — the streamed equivalent of the v1
-    /// whole-frame result.
+    /// when the result is empty).
     pub fn collect_table(&mut self) -> Result<Table, ClientError> {
         let mut out = self.schema.clone();
         while let Some(batch) = self.next_batch()? {
@@ -683,8 +579,7 @@ impl QueryStream<'_> {
     /// Cancel the cursor and synchronously drain to the server's
     /// acknowledgement. Idempotent; a no-op once the stream ended.
     pub fn cancel(&mut self) -> Result<(), ClientError> {
-        if self.done || self.inline.is_some() {
-            self.done = true;
+        if self.done {
             return Ok(());
         }
         self.client.send(&Frame::Cancel {
@@ -710,7 +605,7 @@ impl QueryStream<'_> {
 
 impl Drop for QueryStream<'_> {
     fn drop(&mut self) {
-        if self.done || self.inline.is_some() {
+        if self.done {
             return;
         }
         // Best-effort abort; the tail (in-flight batches + the cancel

@@ -5,15 +5,14 @@
 //! [`lazyetl_core::Warehouse`] into a network service on plain
 //! `std::net` — no async runtime, no external dependencies:
 //!
-//! * [`protocol`] — the length-prefixed, versioned, typed wire frames.
-//!   Protocol **v2** streams results as credit-gated record-batch frames
-//!   over client-chosen cursors (`Hello` handshake, `ResultStart` /
-//!   `ResultBatch` / `ResultEnd` / `Credit` / `Cancel`); **v2.1** adds
-//!   live-tail subscriptions (`Subscribe` / `SubUpdate`): a long-lived
-//!   cursor whose result is re-pushed as a new revision whenever a
-//!   repository refresh moves the warehouse generation — O(delta) per
-//!   subscriber when the recycler patched the resident result. v1 peers
-//!   are still served whole-frame results, bit for bit;
+//! * [`protocol`] — the length-prefixed, versioned, typed wire frames of
+//!   the one protocol both peers speak. Results stream as credit-gated
+//!   record-batch frames over client-chosen cursors (`Hello` handshake,
+//!   `ResultStart` / `ResultBatch` / `ResultEnd` / `Credit` / `Cancel`);
+//!   live-tail subscriptions (`Subscribe` / `SubUpdate`) keep a cursor
+//!   open and re-push its result as a new revision whenever a repository
+//!   refresh moves the warehouse generation — O(delta) per subscriber
+//!   when the recycler patched the resident result;
 //! * [`server`] — an **event-driven connection layer**: one poller
 //!   thread owns every connection on nonblocking sockets (connection
 //!   count bounded by memory, not threads), parses frames incrementally,
@@ -27,10 +26,9 @@
 //! * [`client`] — a blocking [`client::Client`] whose
 //!   [`query`](client::Client::query) returns a
 //!   [`client::QueryStream`]: batches on demand, `cancel()`, drop-aborts.
-//!   [`query_all`](client::Client::query_all) keeps the old collect-to-a-
-//!   table contract (see the [`client`] docs for the v1→v2 migration
-//!   notes); [`connect_v1`](client::Client::connect_v1) speaks the
-//!   original protocol.
+//!   [`query_all`](client::Client::query_all) collects the stream into
+//!   one table; [`subscribe`](client::Client::subscribe) opens a live
+//!   tail.
 //!
 //! Two binaries ship with the crate:
 //!
@@ -48,7 +46,7 @@
 //! let wh = Arc::new(Warehouse::open_lazy("/data/mseed", WarehouseConfig::default()).unwrap());
 //! let server = Server::start(wh, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //!
-//! let mut client = Client::connect(server.addr()).unwrap(); // v2 handshake
+//! let mut client = Client::connect(server.addr()).unwrap(); // Hello handshake
 //! match client.query("SELECT COUNT(*) FROM mseed.files").unwrap() {
 //!     QueryReply::Stream(mut stream) => {
 //!         // Batches arrive on demand; each pull grants the server one

@@ -1,5 +1,5 @@
-//! The wire protocol: length-prefixed, versioned, typed frames — v1
-//! (whole-frame results) and v2 (streamed result cursors).
+//! The wire protocol: length-prefixed, versioned, typed frames carrying
+//! credit-gated result cursors and live-tail subscriptions.
 //!
 //! Every frame on the wire is one header plus one payload:
 //!
@@ -8,14 +8,14 @@
 //! | magic    | version | type   | payload length |     payload     |
 //! | u16 (BE) | u8      | u8     | u32 (BE)       | `length` bytes  |
 //! +----------+---------+--------+----------------+=================+
-//!   0x4C5A     1 or 2    see below                 frame-specific
+//!   0x4C5A       3       see below                 frame-specific
 //! ```
 //!
-//! The magic (`"LZ"`) is checked on **every** frame, so a desynchronized
-//! or foreign peer is detected at the first header. The version byte
-//! names the **minimum protocol revision that can parse the frame**:
-//! every v1 frame still carries `1` (v1 peers keep working bit for bit),
-//! the streaming frames introduced by protocol v2 carry `2`. Payloads
+//! The magic (`"LZ"`) and the version byte are checked on **every**
+//! frame, so a desynchronized, foreign or out-of-date peer is detected at
+//! the first header. There is exactly one protocol revision: every frame
+//! is stamped [`VERSION`], and a header carrying anything else is
+//! [`ProtoError::BadVersion`] (stable code `proto.version`). Payloads
 //! above the receiver's size limit are rejected before any allocation
 //! ([`ProtoError::Oversize`], stable code `proto.oversize`) — **on both
 //! sides**: the server guards its request cap, the client guards its
@@ -25,55 +25,55 @@
 //!
 //! # Frame types
 //!
-//! | type | frame          | dir   | since | payload |
-//! |------|----------------|-------|-------|---------|
-//! | 0x01 | [`Frame::Query`]       | c → s | v1 | `u32` delay_ms, `u8` flags (reserved), SQL utf-8 |
-//! | 0x02 | [`Frame::Result`]      | s → c | v1 | [`WireMetrics`] (49 bytes), then the result table in the `lazyetl-store` stream format |
-//! | 0x03 | [`Frame::Error`]       | s → c | v1 | `u16` code len + code, `u32` message len + message |
-//! | 0x04 | [`Frame::Busy`]        | s → c | v1 | `u32` queue depth, `u32` queued; v2 appends `u64` estimated rows + `u64` cost budget (v1 decoders ignore the tail) |
-//! | 0x05 | [`Frame::Stats`]       | c → s | v1 | empty |
-//! | 0x06 | [`Frame::StatsReply`]  | s → c | v1 | utf-8 `key=value` lines |
-//! | 0x07 | [`Frame::Ping`]        | c → s | v1 | empty |
-//! | 0x08 | [`Frame::Pong`]        | s → c | v1 | empty |
-//! | 0x09 | [`Frame::Shutdown`]    | c → s | v1 | empty (graceful shutdown request) |
-//! | 0x0A | [`Frame::ShutdownAck`] | s → c | v1 | empty |
-//! | 0x0B | [`Frame::Hello`]       | c → s | v2 | `u8` max protocol version the client speaks |
-//! | 0x0C | [`Frame::HelloAck`]    | s → c | v2 | `u8` negotiated version, `u32` batch rows, `u32` initial credit |
-//! | 0x0D | [`Frame::QueryV2`]     | c → s | v2 | `u32` cursor id, `u32` delay_ms, `u8` flags, SQL utf-8 |
-//! | 0x0E | [`Frame::ResultStart`] | s → c | v2 | `u32` cursor, [`WireMetrics`], then an **empty** table carrying the result schema |
-//! | 0x0F | [`Frame::ResultBatch`] | s → c | v2 | `u32` cursor, `u32` seq, then one record batch in the store stream format |
-//! | 0x10 | [`Frame::ResultEnd`]   | s → c | v2 | `u32` cursor, `u32` batches, `u64` rows, `u8` cancelled |
-//! | 0x11 | [`Frame::Credit`]      | c → s | v2 | `u32` cursor, `u32` batches granted |
-//! | 0x12 | [`Frame::Cancel`]      | c → s | v2 | `u32` cursor |
-//! | 0x13 | [`Frame::Subscribe`]   | c → s | v2.1 | `u32` cursor id, SQL utf-8 |
-//! | 0x14 | [`Frame::SubUpdate`]   | s → c | v2.1 | `u32` cursor, `u32` update seq, `u64` rows in this revision |
+//! | type | frame          | dir   | payload |
+//! |------|----------------|-------|---------|
+//! | 0x01 | *reserved*             |       | retired whole-frame query; decodes to [`ProtoError::BadType`] |
+//! | 0x02 | *reserved*             |       | retired whole-frame result; decodes to [`ProtoError::BadType`] |
+//! | 0x03 | [`Frame::Error`]       | s → c | `u16` code len + code, `u32` message len + message |
+//! | 0x04 | [`Frame::Busy`]        | s → c | `u32` queue depth, `u32` queued, `u64` estimated rows, `u64` cost budget |
+//! | 0x05 | [`Frame::Stats`]       | c → s | empty |
+//! | 0x06 | [`Frame::StatsReply`]  | s → c | utf-8 `key=value` lines |
+//! | 0x07 | [`Frame::Ping`]        | c → s | empty |
+//! | 0x08 | [`Frame::Pong`]        | s → c | empty |
+//! | 0x09 | [`Frame::Shutdown`]    | c → s | empty (graceful shutdown request) |
+//! | 0x0A | [`Frame::ShutdownAck`] | s → c | empty |
+//! | 0x0B | [`Frame::Hello`]       | c → s | `u8` highest protocol version the client speaks |
+//! | 0x0C | [`Frame::HelloAck`]    | s → c | `u8` protocol version, `u32` batch rows, `u32` initial credit |
+//! | 0x0D | [`Frame::QueryV2`]     | c → s | `u32` cursor id, `u32` delay_ms, `u8` flags (reserved), SQL utf-8 |
+//! | 0x0E | [`Frame::ResultStart`] | s → c | `u32` cursor, [`WireMetrics`] (49 bytes), then an **empty** table carrying the result schema |
+//! | 0x0F | [`Frame::ResultBatch`] | s → c | `u32` cursor, `u32` seq, then one record batch in the `lazyetl-store` stream format |
+//! | 0x10 | [`Frame::ResultEnd`]   | s → c | `u32` cursor, `u32` batches, `u64` rows, `u8` cancelled |
+//! | 0x11 | [`Frame::Credit`]      | c → s | `u32` cursor, `u32` batches granted |
+//! | 0x12 | [`Frame::Cancel`]      | c → s | `u32` cursor |
+//! | 0x13 | [`Frame::Subscribe`]   | c → s | `u32` cursor id, SQL utf-8 |
+//! | 0x14 | [`Frame::SubUpdate`]   | s → c | `u32` cursor, `u32` update seq, `u64` rows in this revision |
 //!
 //! All integers are big-endian. Both [`crate::server`] and
 //! [`crate::client`] use the same encode/decode pair; direction is a
-//! convention, not a mechanism.
+//! convention, not a mechanism. Type bytes `0x01`/`0x02` belonged to a
+//! retired whole-frame query/result pair and are never reassigned.
 //!
-//! # The v2 cursor lifecycle
+//! # The cursor lifecycle
 //!
-//! A v2 connection opens with `Hello`/`HelloAck` version negotiation (a
-//! peer whose first frame is anything else is served protocol v1,
-//! whole-frame results included — that is the compatibility path). A
-//! `QueryV2` carries a **client-chosen cursor id**; the server answers
-//! with exactly one of `Busy`, `Error`, or a `ResultStart` followed by
-//! zero or more `ResultBatch` frames and one `ResultEnd`. Batches only
-//! flow while the cursor has **credit**: the server spends one credit per
-//! batch, the client replenishes with `Credit` as it consumes. A stalled
-//! reader therefore suspends its cursor server-side instead of forcing
-//! the server to buffer the encoded result — server memory per connection
-//! is bounded by the outbound-buffer ceiling, not by result size.
-//! `Cancel` ends a cursor early; the server acknowledges with a
-//! `ResultEnd` whose `cancelled` flag is set (a cancel can race the
-//! natural end of stream — a non-cancelled `ResultEnd` for the same
-//! cursor is the benign outcome of that race).
+//! A client opens with `Hello`; the server's `HelloAck` announces the
+//! streaming parameters (rows per batch, initial credit) every cursor on
+//! the connection will use. A `QueryV2` carries a **client-chosen cursor
+//! id**; the server answers with exactly one of `Busy`, `Error`, or a
+//! `ResultStart` followed by zero or more `ResultBatch` frames and one
+//! `ResultEnd`. Batches only flow while the cursor has **credit**: the
+//! server spends one credit per batch, the client replenishes with
+//! `Credit` as it consumes. A stalled reader therefore suspends its
+//! cursor server-side instead of forcing the server to buffer the encoded
+//! result — server memory per connection is bounded by the
+//! outbound-buffer ceiling, not by result size. `Cancel` ends a cursor
+//! early; the server acknowledges with a `ResultEnd` whose `cancelled`
+//! flag is set (a cancel can race the natural end of stream — a
+//! non-cancelled `ResultEnd` for the same cursor is the benign outcome of
+//! that race).
 //!
-//! # Live-tail subscriptions (protocol v2.1)
+//! # Live-tail subscriptions
 //!
-//! A v2.1 connection (both peers `Hello`-negotiated version ≥ 3) may open
-//! a **long-lived cursor** with `Subscribe`. The server answers exactly
+//! `Subscribe` opens a **long-lived cursor**. The server answers exactly
 //! like a streamed query — `ResultStart` then credit-gated `ResultBatch`
 //! frames — but ends each result *revision* with a [`Frame::SubUpdate`]
 //! instead of `ResultEnd`, and keeps the cursor open. Whenever a
@@ -82,10 +82,10 @@
 //! re-runs the subscription — an O(delta) recycler hit in the common
 //! insert-only case — and pushes the updated result as another run of
 //! `ResultBatch` frames closed by the next `SubUpdate`. Credit,
-//! backpressure and `Cancel` are exactly the v2 machinery: a subscriber
-//! that stops reading suspends its subscription server-side, and `Cancel`
-//! (or connection close, or server drain) ends it with a cancelled
-//! `ResultEnd`.
+//! backpressure and `Cancel` are exactly the query-cursor machinery: a
+//! subscriber that stops reading suspends its subscription server-side,
+//! and `Cancel` (or connection close, or server drain) ends it with a
+//! cancelled `ResultEnd`.
 //!
 //! Error frames carry a **stable machine-readable code** (see
 //! [`lazyetl_core::EtlError::code`] for warehouse errors and the
@@ -94,34 +94,26 @@
 
 use lazyetl_store::persist::{read_table, write_table};
 use lazyetl_store::Table;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::sync::Arc;
 
 /// `"LZ"` — first two bytes of every frame.
 pub const MAGIC: u16 = 0x4C5A;
-/// Protocol version of the original whole-frame protocol. Carried on
-/// every frame type that already existed in v1.
-pub const VERSION: u8 = 1;
-/// Protocol version that introduced streamed result cursors. Carried on
-/// the v2-only frame types.
-pub const VERSION_V2: u8 = 2;
-/// Protocol version that introduced live-tail subscriptions
-/// (`Subscribe`/`SubUpdate`). Carried on the v2.1-only frame types.
-pub const VERSION_V2_1: u8 = 3;
-/// Highest protocol revision this build speaks.
-pub const MAX_VERSION: u8 = VERSION_V2_1;
+/// The protocol version, stamped on every frame and required of every
+/// frame received. Revisions 1 and 2 are retired: a peer still stamping
+/// them fails at its first header with `proto.version` instead of being
+/// half-understood.
+pub const VERSION: u8 = 3;
 /// Bytes before the payload: magic + version + type + length.
 pub const HEADER_LEN: usize = 8;
 /// Default cap on a *request* payload accepted by the server — and, since
 /// the cap is symmetric, the default cap a [`crate::client::Client`]
 /// enforces on its own outgoing requests.
 pub const DEFAULT_MAX_REQUEST: u32 = 1 << 20;
-/// Default cap on a *response* payload accepted by the client (v1 result
-/// frames carry whole tables; v2 batches are far smaller).
+/// Default cap on a *response* payload accepted by the client.
 pub const DEFAULT_MAX_RESPONSE: u32 = 256 << 20;
 
-const TYPE_QUERY: u8 = 0x01;
-const TYPE_RESULT: u8 = 0x02;
+// 0x01 and 0x02 are reserved (see the module docs): never reassign them.
 const TYPE_ERROR: u8 = 0x03;
 const TYPE_BUSY: u8 = 0x04;
 const TYPE_STATS: u8 = 0x05;
@@ -141,7 +133,7 @@ const TYPE_CANCEL: u8 = 0x12;
 const TYPE_SUBSCRIBE: u8 = 0x13;
 const TYPE_SUB_UPDATE: u8 = 0x14;
 
-/// Per-request serving metrics, returned inside every result frame so
+/// Per-request serving metrics, returned inside every `ResultStart` so
 /// clients see what their query cost without a second round trip.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireMetrics {
@@ -212,25 +204,6 @@ impl WireMetrics {
 /// One protocol frame (see the module docs for the wire layout).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Run a SQL query, v1 style: the whole result comes back in one
-    /// `Result` frame. `delay_ms` adds server-side think time before
-    /// execution — the load-generation / admission-control test knob
-    /// (the server clamps it to a few seconds; it is not a scheduler).
-    Query {
-        /// Milliseconds the worker sleeps before executing (0 = none).
-        delay_ms: u32,
-        /// The SQL text.
-        sql: String,
-    },
-    /// A successful v1 result: serving metrics plus the rows. The table
-    /// is behind an `Arc` so the server serializes straight from the
-    /// warehouse's (possibly cached/recycled) result without copying it.
-    Result {
-        /// What the request cost.
-        metrics: WireMetrics,
-        /// The result table.
-        table: Arc<Table>,
-    },
     /// A failure with a stable machine-readable code.
     Error {
         /// e.g. `query.parse`, `etl.internal`, `proto.oversize`.
@@ -239,10 +212,10 @@ pub enum Frame {
         message: String,
     },
     /// Backpressure: admission control rejected the query; retry later.
-    /// The estimate fields are meaningful on v2 connections with
-    /// cost-based admission configured (0 = unknown/not costed) — they
-    /// let a client back off proportionally to how expensive its query
-    /// looked, instead of blind fixed backoff.
+    /// The estimate fields are meaningful when the server has cost-based
+    /// admission configured (0 = unknown/not costed) — they let a client
+    /// back off proportionally to how expensive its query looked, instead
+    /// of blind fixed backoff.
     Busy {
         /// The configured queue depth.
         queue_depth: u32,
@@ -270,15 +243,19 @@ pub enum Frame {
     Shutdown,
     /// Shutdown acknowledged; the connection closes after this frame.
     ShutdownAck,
-    /// Version negotiation: the first frame a v2-capable client sends.
+    /// The first frame a client sends, asking for the streaming
+    /// parameters. Version agreement is the header's job — this frame,
+    /// like any other, only decodes when stamped [`VERSION`] — so neither
+    /// peer acts on the version byte in this payload or in `HelloAck`'s;
+    /// both keep their place in the layout.
     Hello {
         /// Highest protocol version the client speaks.
         max_version: u8,
     },
-    /// The server's half of negotiation: the agreed version plus the
-    /// streaming parameters every cursor on this connection will use.
+    /// The server's answer to `Hello`: the streaming parameters every
+    /// cursor on this connection will use.
     HelloAck {
-        /// Negotiated protocol version (min of both peers' maximums).
+        /// The server's protocol version.
         version: u8,
         /// Rows per `ResultBatch` frame.
         batch_rows: u32,
@@ -286,7 +263,10 @@ pub enum Frame {
         /// `Credit`.
         initial_credit: u32,
     },
-    /// Run a SQL query on a v2 connection, opening a streamed cursor.
+    /// Run a SQL query, opening a streamed cursor. `delay_ms` adds
+    /// server-side think time before execution — the load-generation /
+    /// admission-control test knob (the server clamps it to a few
+    /// seconds; it is not a scheduler).
     QueryV2 {
         /// Client-chosen cursor id (unique among this connection's live
         /// cursors).
@@ -307,7 +287,9 @@ pub enum Frame {
         /// Zero-row table with the result schema.
         schema: Arc<Table>,
     },
-    /// One record batch of a streamed result.
+    /// One record batch of a streamed result. The table is behind an
+    /// `Arc` so the server encodes straight from a slice of the
+    /// warehouse's (possibly cached/recycled) result without copying it.
     ResultBatch {
         /// The cursor this batch belongs to.
         cursor: u32,
@@ -341,9 +323,9 @@ pub enum Frame {
         /// The cursor to abort.
         cursor: u32,
     },
-    /// Open a long-lived subscription cursor (protocol v2.1): the server
-    /// streams the current result, then pushes an updated result run
-    /// whenever a warehouse refresh changes it, each revision closed by a
+    /// Open a long-lived subscription cursor: the server streams the
+    /// current result, then pushes an updated result run whenever a
+    /// warehouse refresh changes it, each revision closed by a
     /// [`Frame::SubUpdate`]. Ended by `Cancel` / connection close / drain.
     Subscribe {
         /// Client-chosen cursor id (same id space as `QueryV2` cursors).
@@ -371,7 +353,7 @@ pub enum ProtoError {
     Io(std::io::Error),
     /// First two bytes were not [`MAGIC`] — peer out of sync or foreign.
     BadMagic(u16),
-    /// Version byte above anything this build speaks.
+    /// Version byte other than [`VERSION`].
     BadVersion(u8),
     /// Unknown frame type byte.
     BadType(u8),
@@ -429,8 +411,6 @@ impl From<std::io::Error> for ProtoError {
 
 fn type_byte(frame: &Frame) -> u8 {
     match frame {
-        Frame::Query { .. } => TYPE_QUERY,
-        Frame::Result { .. } => TYPE_RESULT,
         Frame::Error { .. } => TYPE_ERROR,
         Frame::Busy { .. } => TYPE_BUSY,
         Frame::Stats => TYPE_STATS,
@@ -452,37 +432,10 @@ fn type_byte(frame: &Frame) -> u8 {
     }
 }
 
-/// The version byte a frame carries: the minimum protocol revision that
-/// can parse it. v1 peers never receive (or send) a frame stamped 2.
-fn version_byte(frame: &Frame) -> u8 {
-    match frame {
-        Frame::Subscribe { .. } | Frame::SubUpdate { .. } => VERSION_V2_1,
-        Frame::Hello { .. }
-        | Frame::HelloAck { .. }
-        | Frame::QueryV2 { .. }
-        | Frame::ResultStart { .. }
-        | Frame::ResultBatch { .. }
-        | Frame::ResultEnd { .. }
-        | Frame::Credit { .. }
-        | Frame::Cancel { .. } => VERSION_V2,
-        _ => VERSION,
-    }
-}
-
 /// Serialize a frame to its full wire representation (header included).
 pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
     let mut payload = Vec::new();
     match frame {
-        Frame::Query { delay_ms, sql } => {
-            payload.extend_from_slice(&delay_ms.to_be_bytes());
-            payload.push(0); // flags, reserved
-            payload.extend_from_slice(sql.as_bytes());
-        }
-        Frame::Result { metrics, table } => {
-            metrics.encode_into(&mut payload);
-            write_table(table, &mut payload)
-                .map_err(|e| ProtoError::Malformed(format!("table encode: {e}")))?;
-        }
         Frame::Error { code, message } => {
             payload.extend_from_slice(&(code.len() as u16).to_be_bytes());
             payload.extend_from_slice(code.as_bytes());
@@ -497,7 +450,6 @@ pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
         } => {
             payload.extend_from_slice(&queue_depth.to_be_bytes());
             payload.extend_from_slice(&queued.to_be_bytes());
-            // v2 tail; a v1 decoder reads the first 8 bytes and ignores it.
             payload.extend_from_slice(&estimated_rows.to_be_bytes());
             payload.extend_from_slice(&cost_budget.to_be_bytes());
         }
@@ -577,7 +529,7 @@ pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
     })?;
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC.to_be_bytes());
-    out.push(version_byte(frame));
+    out.push(VERSION);
     out.push(type_byte(frame));
     out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(&payload);
@@ -599,14 +551,6 @@ pub fn frame_bytes_checked(frame: &Frame, max_payload: u32) -> Result<Vec<u8>, P
         });
     }
     Ok(bytes)
-}
-
-/// Write one frame (single `write_all`, so frames never interleave even
-/// on an unbuffered stream).
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
-    w.write_all(&frame_bytes(frame)?)?;
-    w.flush()?;
-    Ok(())
 }
 
 fn str_from(bytes: &[u8], what: &str) -> Result<String, ProtoError> {
@@ -636,25 +580,6 @@ fn u64_at(payload: &[u8], off: usize, what: &str) -> Result<u64, ProtoError> {
 /// reader ([`read_frame`]) and the incremental parser ([`decode_frame`]).
 fn decode_payload(ftype: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     match ftype {
-        TYPE_QUERY => {
-            if payload.len() < 5 {
-                return Err(ProtoError::Malformed("query frame too short".into()));
-            }
-            let delay_ms = u32_at(payload, 0, "query")?;
-            // payload[4] is the reserved flags byte.
-            let sql = str_from(&payload[5..], "sql")?;
-            Ok(Frame::Query { delay_ms, sql })
-        }
-        TYPE_RESULT => {
-            let metrics = WireMetrics::decode(payload)?;
-            let mut rest = &payload[METRICS_LEN..];
-            let table = read_table(&mut rest)
-                .map_err(|e| ProtoError::Malformed(format!("table decode: {e}")))?;
-            Ok(Frame::Result {
-                metrics,
-                table: Arc::new(table),
-            })
-        }
         TYPE_ERROR => {
             if payload.len() < 2 {
                 return Err(ProtoError::Malformed("error frame too short".into()));
@@ -672,23 +597,12 @@ fn decode_payload(ftype: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             let message = str_from(&payload[off + 4..off + 4 + msg_len], "error message")?;
             Ok(Frame::Error { code, message })
         }
-        TYPE_BUSY => {
-            if payload.len() < 8 {
-                return Err(ProtoError::Malformed("busy frame too short".into()));
-            }
-            // The estimate tail only exists on v2 frames; default 0.
-            let (estimated_rows, cost_budget) = if payload.len() >= 24 {
-                (u64_at(payload, 8, "busy")?, u64_at(payload, 16, "busy")?)
-            } else {
-                (0, 0)
-            };
-            Ok(Frame::Busy {
-                queue_depth: u32_at(payload, 0, "busy")?,
-                queued: u32_at(payload, 4, "busy")?,
-                estimated_rows,
-                cost_budget,
-            })
-        }
+        TYPE_BUSY => Ok(Frame::Busy {
+            queue_depth: u32_at(payload, 0, "busy")?,
+            queued: u32_at(payload, 4, "busy")?,
+            estimated_rows: u64_at(payload, 8, "busy")?,
+            cost_budget: u64_at(payload, 16, "busy")?,
+        }),
         TYPE_STATS => Ok(Frame::Stats),
         TYPE_STATS_REPLY => Ok(Frame::StatsReply {
             text: str_from(payload, "stats")?,
@@ -768,23 +682,13 @@ fn decode_payload(ftype: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                 cancelled: payload[16] != 0,
             })
         }
-        TYPE_CREDIT => {
-            if payload.len() < 8 {
-                return Err(ProtoError::Malformed("credit frame too short".into()));
-            }
-            Ok(Frame::Credit {
-                cursor: u32_at(payload, 0, "credit")?,
-                n: u32_at(payload, 4, "credit")?,
-            })
-        }
-        TYPE_CANCEL => {
-            if payload.len() < 4 {
-                return Err(ProtoError::Malformed("cancel frame too short".into()));
-            }
-            Ok(Frame::Cancel {
-                cursor: u32_at(payload, 0, "cancel")?,
-            })
-        }
+        TYPE_CREDIT => Ok(Frame::Credit {
+            cursor: u32_at(payload, 0, "credit")?,
+            n: u32_at(payload, 4, "credit")?,
+        }),
+        TYPE_CANCEL => Ok(Frame::Cancel {
+            cursor: u32_at(payload, 0, "cancel")?,
+        }),
         TYPE_SUBSCRIBE => {
             if payload.len() < 4 {
                 return Err(ProtoError::Malformed("subscribe frame too short".into()));
@@ -794,16 +698,11 @@ fn decode_payload(ftype: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                 sql: str_from(&payload[4..], "sql")?,
             })
         }
-        TYPE_SUB_UPDATE => {
-            if payload.len() < 16 {
-                return Err(ProtoError::Malformed("sub-update frame too short".into()));
-            }
-            Ok(Frame::SubUpdate {
-                cursor: u32_at(payload, 0, "sub-update")?,
-                update: u32_at(payload, 4, "sub-update")?,
-                rows: u64_at(payload, 8, "sub-update")?,
-            })
-        }
+        TYPE_SUB_UPDATE => Ok(Frame::SubUpdate {
+            cursor: u32_at(payload, 0, "sub-update")?,
+            update: u32_at(payload, 4, "sub-update")?,
+            rows: u64_at(payload, 8, "sub-update")?,
+        }),
         other => Err(ProtoError::BadType(other)),
     }
 }
@@ -814,7 +713,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), ProtoError> {
     if magic != MAGIC {
         return Err(ProtoError::BadMagic(magic));
     }
-    if header[2] == 0 || header[2] > MAX_VERSION {
+    if header[2] != VERSION {
         return Err(ProtoError::BadVersion(header[2]));
     }
     let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
@@ -909,14 +808,6 @@ mod tests {
     #[test]
     fn every_frame_type_roundtrips() {
         let frames = vec![
-            Frame::Query {
-                delay_ms: 25,
-                sql: "SELECT 1".into(),
-            },
-            Frame::Result {
-                metrics: sample_metrics(),
-                table: Arc::new(sample_table()),
-            },
             Frame::Error {
                 code: "query.parse".into(),
                 message: "boom".into(),
@@ -935,9 +826,11 @@ mod tests {
             Frame::Pong,
             Frame::Shutdown,
             Frame::ShutdownAck,
-            Frame::Hello { max_version: 2 },
+            Frame::Hello {
+                max_version: VERSION,
+            },
             Frame::HelloAck {
-                version: 2,
+                version: VERSION,
                 batch_rows: 4096,
                 initial_credit: 4,
             },
@@ -982,58 +875,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v2_frames_carry_version_2_and_v1_frames_stay_v1() {
-        let v1 = frame_bytes(&Frame::Ping).unwrap();
-        assert_eq!(v1[2], VERSION);
-        let v2 = frame_bytes(&Frame::Cancel { cursor: 1 }).unwrap();
-        assert_eq!(v2[2], VERSION_V2);
-        // A v1-only decoder (version must equal 1) would reject the v2
-        // frame at the header — which is exactly why the server never
-        // sends one before a Hello negotiated the upgrade.
-        let v21 = frame_bytes(&Frame::SubUpdate {
-            cursor: 1,
-            update: 0,
-            rows: 0,
-        })
-        .unwrap();
-        assert_eq!(v21[2], VERSION_V2_1);
-        let v21 = frame_bytes(&Frame::Subscribe {
-            cursor: 1,
-            sql: "SELECT 1".into(),
-        })
-        .unwrap();
-        assert_eq!(v21[2], VERSION_V2_1);
-    }
-
-    #[test]
-    fn busy_tail_is_optional_for_v1_peers() {
-        // A v1 sender emits only depth + queued; the estimates default 0.
+    /// Header + payload for a frame type the encoder may not produce.
+    fn raw_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC.to_be_bytes());
         bytes.push(VERSION);
-        bytes.push(0x04);
-        bytes.extend_from_slice(&8u32.to_be_bytes());
-        bytes.extend_from_slice(&3u32.to_be_bytes());
-        bytes.extend_from_slice(&2u32.to_be_bytes());
-        match read_frame(&mut bytes.as_slice(), 1024).unwrap() {
+        bytes.push(ftype);
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn every_frame_is_stamped_with_the_one_version() {
+        for f in [
+            Frame::Ping,
+            Frame::Cancel { cursor: 1 },
+            Frame::SubUpdate {
+                cursor: 1,
+                update: 0,
+                rows: 0,
+            },
+        ] {
+            assert_eq!(frame_bytes(&f).unwrap()[2], VERSION);
+        }
+        // The retired revisions (and anything newer) fail at the header.
+        for v in [0, 1, 2, VERSION + 1] {
+            let mut bytes = frame_bytes(&Frame::Ping).unwrap();
+            bytes[2] = v;
+            assert!(matches!(
+                read_frame(&mut bytes.as_slice(), 1024),
+                Err(ProtoError::BadVersion(got)) if got == v
+            ));
+        }
+    }
+
+    #[test]
+    fn retired_type_bytes_stay_reserved() {
+        // A well-formed whole-frame query payload under type 0x01, and any
+        // payload under 0x02, are unknown types — never half-decoded.
+        let mut query = vec![0, 0, 0, 0, 0];
+        query.extend_from_slice(b"SELECT 1");
+        for bytes in [raw_frame(0x01, &query), raw_frame(0x02, &[0; 64])] {
+            let ftype = bytes[3];
+            assert!(matches!(
+                read_frame(&mut bytes.as_slice(), 1024),
+                Err(ProtoError::BadType(t)) if t == ftype
+            ));
+        }
+    }
+
+    #[test]
+    fn fixed_layout_payloads_must_be_complete() {
+        // Every strict prefix of a fixed-layout payload is malformed —
+        // including a Busy carrying depth + queued but no estimates
+        // (never zero-filled).
+        for frame in [
             Frame::Busy {
-                queue_depth,
-                queued,
-                estimated_rows,
-                cost_budget,
-            } => {
-                assert_eq!((queue_depth, queued), (3, 2));
-                assert_eq!((estimated_rows, cost_budget), (0, 0));
+                queue_depth: 3,
+                queued: 2,
+                estimated_rows: 7,
+                cost_budget: 9,
+            },
+            Frame::HelloAck {
+                version: VERSION,
+                batch_rows: 4096,
+                initial_credit: 4,
+            },
+            Frame::ResultEnd {
+                cursor: 7,
+                batches: 4,
+                rows: 8192,
+                cancelled: false,
+            },
+            Frame::Credit { cursor: 7, n: 2 },
+            Frame::Cancel { cursor: 7 },
+            Frame::SubUpdate {
+                cursor: 9,
+                update: 4,
+                rows: 123_456,
+            },
+        ] {
+            let full = frame_bytes(&frame).unwrap();
+            for len in 0..full.len() - HEADER_LEN {
+                let short = raw_frame(full[3], &full[HEADER_LEN..HEADER_LEN + len]);
+                assert!(
+                    matches!(
+                        read_frame(&mut short.as_slice(), 1024),
+                        Err(ProtoError::Malformed(_))
+                    ),
+                    "{len}-byte payload of {frame:?}"
+                );
             }
-            other => panic!("expected busy, got {other:?}"),
         }
     }
 
     #[test]
     fn incremental_decode_handles_partial_and_concatenated_frames() {
         let a = frame_bytes(&Frame::Credit { cursor: 9, n: 1 }).unwrap();
-        let b = frame_bytes(&Frame::Query {
+        let b = frame_bytes(&Frame::QueryV2 {
+            cursor: 9,
             delay_ms: 0,
             sql: "SELECT 1".into(),
         })
@@ -1049,7 +990,7 @@ mod tests {
         assert_eq!(f1, Frame::Credit { cursor: 9, n: 1 });
         assert_eq!(used1, a.len());
         let (f2, used2) = decode_frame(&buf[used1..], 1024).unwrap().unwrap();
-        assert!(matches!(f2, Frame::Query { .. }));
+        assert!(matches!(f2, Frame::QueryV2 { .. }));
         assert_eq!(used2, b.len());
     }
 
@@ -1070,7 +1011,8 @@ mod tests {
 
     #[test]
     fn sender_side_cap_rejects_with_stable_code() {
-        let frame = Frame::Query {
+        let frame = Frame::QueryV2 {
+            cursor: 1,
             delay_ms: 0,
             sql: "x".repeat(2048),
         };
@@ -1124,7 +1066,8 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_io_error() {
-        let bytes = frame_bytes(&Frame::Query {
+        let bytes = frame_bytes(&Frame::QueryV2 {
+            cursor: 1,
             delay_ms: 0,
             sql: "SELECT 1".into(),
         })
@@ -1139,12 +1082,7 @@ mod tests {
     #[test]
     fn malformed_query_payload_detected() {
         // A query frame whose payload is shorter than the fixed prefix.
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION);
-        out.push(0x01);
-        out.extend_from_slice(&2u32.to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
+        let out = raw_frame(0x0D, &[0, 0]);
         assert!(matches!(
             read_frame(&mut out.as_slice(), 1024),
             Err(ProtoError::Malformed(_))

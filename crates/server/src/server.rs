@@ -29,23 +29,21 @@
 //! the **worker pool**, the only thing that touches the warehouse;
 //! workers post finished queries to a completion list the poller drains.
 //!
-//! # Streamed cursors and backpressure (protocol v2)
+//! # Streamed cursors and backpressure
 //!
-//! A v2 connection's query result never materializes on the wire as one
-//! frame. The poller holds the result table behind an `Arc` and slices
+//! A query result never materializes on the wire as one frame. The
+//! poller holds the result table behind an `Arc` and slices
 //! `batch_rows`-row [`Frame::ResultBatch`]es from it on demand — but only
 //! while the cursor has **credit** (each batch spends one; the client
 //! replenishes with [`Frame::Credit`] as it consumes) and only while the
 //! connection's outbound queue is under `max_outbuf_bytes`. A slow or
 //! stalled reader therefore *suspends its cursor* — server memory for the
 //! encoded stream is `O(connections × batch)`, never
-//! `O(connections × result)`. (The result table itself is a single
+//! `O(connections × result)`, with no exception: a cursor is the only
+//! way a result reaches the wire. (The result table itself is a single
 //! shared `Arc`, usually aliasing the warehouse's result-recycler entry.)
 //! [`Frame::Cancel`] frees a cursor mid-stream; if the query is still
 //! queued, a cancel flag makes the worker skip it entirely.
-//!
-//! v1 clients (no [`Frame::Hello`] handshake) are still served
-//! whole-frame results, bit-compatible with the previous protocol.
 //!
 //! # Admission control
 //!
@@ -77,7 +75,7 @@
 //!    configured) via [`Warehouse::save_to`] — the hot record cache goes
 //!    into the snapshot, so the next boot warm-restarts.
 
-use crate::protocol::{decode_frame, frame_bytes, Frame, WireMetrics};
+use crate::protocol::{decode_frame, frame_bytes, Frame, WireMetrics, VERSION};
 use lazyetl_core::persistence::SaveReport;
 use lazyetl_core::{EtlError, Warehouse};
 use lazyetl_store::Table;
@@ -102,16 +100,15 @@ pub struct ServerConfig {
     /// Cap on request payloads; larger frames are rejected with a
     /// `proto.oversize` error and the connection closes.
     pub max_request_bytes: u32,
-    /// Rows per [`Frame::ResultBatch`] on v2 connections. The default
-    /// matches the executor's morsel size, so streamed batch boundaries
-    /// line up with parallel-execution partitions.
+    /// Rows per [`Frame::ResultBatch`]. The default matches the
+    /// executor's morsel size, so streamed batch boundaries line up with
+    /// parallel-execution partitions.
     pub batch_rows: u32,
     /// Batches a fresh cursor may stream before the client must grant
     /// [`Frame::Credit`].
     pub initial_credit: u32,
     /// Ceiling on one connection's encoded-but-unsent outbound bytes;
-    /// cursor pumping pauses above it (v1 whole-frame replies are exempt
-    /// — that is precisely the O(result) behavior v2 exists to replace).
+    /// cursor pumping pauses above it.
     pub max_outbuf_bytes: usize,
     /// Cost-based admission budget in estimated result rows; `None`
     /// admits on queue depth alone.
@@ -196,7 +193,7 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Record-cache misses across all queries.
     pub cache_misses: u64,
-    /// Streamed cursors opened (v2 queries that produced a result).
+    /// Streamed cursors opened (queries that produced a result).
     pub cursors_opened: u64,
     /// Cursors currently live (gauge; 0 on a quiesced server).
     pub cursors_open: u64,
@@ -206,11 +203,11 @@ pub struct ServerStats {
     /// is a slow reader suspended instead of buffered.
     pub credit_stalls: u64,
     /// High-water mark of any single connection's encoded-but-unsent
-    /// outbound bytes — the memory-ceiling observable: with v2 streaming
-    /// it stays `O(batch)` no matter how large the result.
+    /// outbound bytes — the memory-ceiling observable: it stays
+    /// `O(batch)` no matter how large the result.
     pub outbuf_hwm_bytes: u64,
-    /// Live-tail subscriptions opened (v2.1 `Subscribe` frames that
-    /// produced a result).
+    /// Live-tail subscriptions opened (`Subscribe` frames that produced
+    /// a result).
     pub subscriptions_opened: u64,
     /// `SubUpdate` frames pushed — one per result revision delivered to
     /// a subscriber (the initial snapshot included).
@@ -256,13 +253,13 @@ struct Job {
     delay_ms: u32,
     enqueued: Instant,
     token: u64,
-    /// `Some` = v2 streamed cursor; `None` = v1 whole-frame reply.
-    cursor: Option<u32>,
-    /// This job (re-)runs a v2.1 live-tail subscription: its completion
-    /// opens (or refreshes) a long-lived cursor instead of a one-shot one.
+    /// The client-chosen cursor the result streams on.
+    cursor: u32,
+    /// This job (re-)runs a live-tail subscription: its completion opens
+    /// (or refreshes) a long-lived cursor instead of a one-shot one.
     subscribe: bool,
-    /// Set by `Cancel` (or connection death on v2): the worker skips the
-    /// query entirely if it has not started yet.
+    /// Set by `Cancel` (or connection death): the worker skips the query
+    /// entirely if it has not started yet.
     cancel: Arc<AtomicBool>,
     /// Estimated rows charged against the admission cost budget;
     /// released when the completion posts.
@@ -289,7 +286,7 @@ enum Done {
 
 struct Completion {
     token: u64,
-    cursor: Option<u32>,
+    cursor: u32,
     /// The SQL of a subscription job (`None` for one-shot queries) — kept
     /// so the poller can re-run the subscription on later refreshes.
     subscribe_sql: Option<String>,
@@ -687,7 +684,7 @@ struct Cursor {
     seq: u32,
     /// True while suspended on zero credit (so one stall counts once).
     stalled: bool,
-    /// `Some` = long-lived v2.1 subscription; the cursor survives the end
+    /// `Some` = long-lived subscription; the cursor survives the end
     /// of each result revision and re-runs when the generation moves.
     sub: Option<SubState>,
 }
@@ -706,7 +703,7 @@ struct SubState {
     drained: bool,
 }
 
-/// A v2 query admitted but not yet completed by a worker.
+/// A query admitted but not yet completed by a worker.
 struct Inflight {
     cancel: Arc<AtomicBool>,
     /// The client cancelled while the query was queued/running; the
@@ -733,8 +730,6 @@ struct OutQueue {
 /// by the poller thread — no locks anywhere in the per-connection state.
 struct Conn {
     stream: TcpStream,
-    /// Negotiated protocol version; 1 until a `Hello` upgrades it.
-    version: u8,
     rbuf: Vec<u8>,
     out: OutQueue,
     cursors: HashMap<u32, Cursor>,
@@ -755,7 +750,6 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            version: 1,
             rbuf: Vec::new(),
             out: OutQueue::default(),
             cursors: HashMap::new(),
@@ -777,6 +771,32 @@ impl Conn {
             }
             Err(_) => self.closing = true,
         }
+    }
+
+    /// End a live cursor early: free it, answer with a cancelled
+    /// `ResultEnd`, and flag a subscription's refresh re-run still in
+    /// flight so its completion is discarded instead of reopening the
+    /// cursor. False when no such cursor is live.
+    fn cancel_cursor(&mut self, id: u32, counters: &Counters) -> bool {
+        let Some(cur) = self.cursors.remove(&id) else {
+            return false;
+        };
+        counters.cursors_open.fetch_sub(1, Ordering::Relaxed);
+        self.push(
+            &Frame::ResultEnd {
+                cursor: id,
+                batches: cur.seq,
+                rows: cur.next_row as u64,
+                cancelled: true,
+            },
+            counters,
+        );
+        if let Some(inflight) = self.inflight.get_mut(&id) {
+            inflight.cancel.store(true, Ordering::Release);
+            inflight.cancelled = true;
+            inflight.cancel_acked = true;
+        }
+        true
     }
 
     /// Drain whatever the socket has ready into the read buffer.
@@ -851,25 +871,7 @@ fn poller_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     .map(|(&id, _)| id)
                     .collect();
                 for id in subs {
-                    let cur = conn.cursors.remove(&id).expect("cursor vanished");
-                    shared.counters.cursors_open.fetch_sub(1, Ordering::Relaxed);
-                    conn.push(
-                        &Frame::ResultEnd {
-                            cursor: id,
-                            batches: cur.seq,
-                            rows: cur.next_row as u64,
-                            cancelled: true,
-                        },
-                        &shared.counters,
-                    );
-                    // A refresh re-run still in flight must not reopen
-                    // the cursor when its completion posts.
-                    if let Some(inflight) = conn.inflight.get_mut(&id) {
-                        inflight.cancel.store(true, Ordering::Release);
-                        inflight.cancelled = true;
-                        inflight.cancel_acked = true;
-                    }
-                    progress = true;
+                    progress |= conn.cancel_cursor(id, &shared.counters);
                 }
             }
         }
@@ -911,7 +913,7 @@ fn poller_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     Ok(Some((frame, used))) => {
                         conn.rbuf.drain(..used);
                         progress = true;
-                        handle_frame(shared, token, conn, frame, draining);
+                        handle_frame(shared, token, conn, frame);
                         if conn.closing {
                             break;
                         }
@@ -1007,7 +1009,7 @@ fn poller_loop(listener: TcpListener, shared: &Arc<Shared>) {
                                 delay_ms: 0,
                                 enqueued: Instant::now(),
                                 token,
-                                cursor: Some(id),
+                                cursor: id,
                                 subscribe: true,
                                 cancel: Arc::clone(&cancel),
                                 cost: 0,
@@ -1109,7 +1111,7 @@ enum Admit {
 fn try_admit(
     shared: &Shared,
     token: u64,
-    cursor: Option<u32>,
+    cursor: u32,
     sql: String,
     delay_ms: u32,
     subscribe: bool,
@@ -1178,77 +1180,24 @@ fn try_admit(
 /// admission; everything else is answered inline (stats and pings must
 /// work even when the pool is saturated — that is when an operator needs
 /// them most).
-fn handle_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: Frame, draining: bool) {
+fn handle_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: Frame) {
     let counters = &shared.counters;
     match frame {
-        Frame::Hello { max_version } => {
-            conn.version = max_version.clamp(1, crate::protocol::MAX_VERSION);
-            conn.push(
-                &Frame::HelloAck {
-                    version: conn.version,
-                    batch_rows: shared.cfg.batch_rows,
-                    initial_credit: shared.cfg.initial_credit,
-                },
-                counters,
-            );
-        }
-        Frame::Query { delay_ms, sql } => {
-            admit_or_reject(shared, token, conn, None, sql, delay_ms, false, draining)
-        }
+        Frame::Hello { .. } => conn.push(
+            &Frame::HelloAck {
+                version: VERSION,
+                batch_rows: shared.cfg.batch_rows,
+                initial_credit: shared.cfg.initial_credit,
+            },
+            counters,
+        ),
         Frame::QueryV2 {
             cursor,
             delay_ms,
             sql,
-        } => {
-            if conn.version < 2 {
-                conn.push(
-                    &Frame::Error {
-                        code: "proto.unexpected".into(),
-                        message: "QueryV2 before a v2 Hello handshake".into(),
-                    },
-                    counters,
-                );
-            } else if conn.cursors.contains_key(&cursor) || conn.inflight.contains_key(&cursor) {
-                conn.push(
-                    &Frame::Error {
-                        code: "server.cursor".into(),
-                        message: format!("cursor {cursor} is already in use"),
-                    },
-                    counters,
-                );
-            } else {
-                admit_or_reject(
-                    shared,
-                    token,
-                    conn,
-                    Some(cursor),
-                    sql,
-                    delay_ms,
-                    false,
-                    draining,
-                )
-            }
-        }
+        } => admit_or_reject(shared, token, conn, cursor, sql, delay_ms, false),
         Frame::Subscribe { cursor, sql } => {
-            if conn.version < crate::protocol::VERSION_V2_1 {
-                conn.push(
-                    &Frame::Error {
-                        code: "proto.unexpected".into(),
-                        message: "Subscribe before a v2.1 Hello handshake".into(),
-                    },
-                    counters,
-                );
-            } else if conn.cursors.contains_key(&cursor) || conn.inflight.contains_key(&cursor) {
-                conn.push(
-                    &Frame::Error {
-                        code: "server.cursor".into(),
-                        message: format!("cursor {cursor} is already in use"),
-                    },
-                    counters,
-                );
-            } else {
-                admit_or_reject(shared, token, conn, Some(cursor), sql, 0, true, draining)
-            }
+            admit_or_reject(shared, token, conn, cursor, sql, 0, true)
         }
         Frame::Credit { cursor, n } => {
             if let Some(cur) = conn.cursors.get_mut(&cursor) {
@@ -1258,34 +1207,16 @@ fn handle_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: Frame, drai
             // Unknown cursor: the grant raced the stream's end — ignore.
         }
         Frame::Cancel { cursor } => {
-            if let Some(cur) = conn.cursors.remove(&cursor) {
-                counters.cursors_open.fetch_sub(1, Ordering::Relaxed);
-                conn.push(
-                    &Frame::ResultEnd {
-                        cursor,
-                        batches: cur.seq,
-                        rows: cur.next_row as u64,
-                        cancelled: true,
-                    },
-                    counters,
-                );
-                // A subscription's refresh re-run may still be in flight;
-                // flag it so the completion is discarded (the cancel is
-                // answered right here).
-                if cur.sub.is_some() {
-                    if let Some(inflight) = conn.inflight.get_mut(&cursor) {
-                        inflight.cancel.store(true, Ordering::Release);
-                        inflight.cancelled = true;
-                        inflight.cancel_acked = true;
-                    }
+            if !conn.cancel_cursor(cursor, counters) {
+                if let Some(inflight) = conn.inflight.get_mut(&cursor) {
+                    // Queued or executing: flag it (a queued job is
+                    // skipped outright) and acknowledge when the
+                    // completion posts.
+                    inflight.cancel.store(true, Ordering::Release);
+                    inflight.cancelled = true;
                 }
-            } else if let Some(inflight) = conn.inflight.get_mut(&cursor) {
-                // Queued or executing: flag it (a queued job is skipped
-                // outright) and acknowledge when the completion posts.
-                inflight.cancel.store(true, Ordering::Release);
-                inflight.cancelled = true;
+                // Unknown cursor: the cancel raced the stream's end — ignore.
             }
-            // Unknown cursor: the cancel raced the stream's end — ignore.
         }
         Frame::Stats => conn.push(
             &Frame::StatsReply {
@@ -1311,23 +1242,23 @@ fn handle_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: Frame, drai
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn admit_or_reject(
     shared: &Shared,
     token: u64,
     conn: &mut Conn,
-    cursor: Option<u32>,
+    cursor: u32,
     sql: String,
     delay_ms: u32,
     subscribe: bool,
-    draining: bool,
 ) {
     let counters = &shared.counters;
-    if draining {
+    // One id space per connection: one-shot and subscription cursors,
+    // streaming or still queued, may not collide.
+    if conn.cursors.contains_key(&cursor) || conn.inflight.contains_key(&cursor) {
         conn.push(
             &Frame::Error {
-                code: "server.shutdown".into(),
-                message: "server is draining; no new queries".into(),
+                code: "server.cursor".into(),
+                message: format!("cursor {cursor} is already in use"),
             },
             counters,
         );
@@ -1344,16 +1275,14 @@ fn admit_or_reject(
         Arc::clone(&cancel),
     ) {
         Admit::Admitted => {
-            if let Some(id) = cursor {
-                conn.inflight.insert(
-                    id,
-                    Inflight {
-                        cancel,
-                        cancelled: false,
-                        cancel_acked: false,
-                    },
-                );
-            }
+            conn.inflight.insert(
+                cursor,
+                Inflight {
+                    cancel,
+                    cancelled: false,
+                    cancel_acked: false,
+                },
+            );
         }
         Admit::Busy {
             queued,
@@ -1384,146 +1313,109 @@ fn admit_or_reject(
     }
 }
 
-/// Route one worker completion to its connection: v1 gets the whole
-/// result frame, v2 opens a cursor (or acknowledges its cancellation),
-/// a v2.1 subscription opens a long-lived cursor or — on a refresh
-/// re-run — swaps the new revision into the live cursor.
+/// Route one worker completion to its connection: a query opens a
+/// cursor (or acknowledges its cancellation), a subscription opens a
+/// long-lived cursor or — on a refresh re-run — swaps the new revision
+/// into the live cursor.
 fn deliver_completion(shared: &Shared, conn: &mut Conn, comp: Completion) {
     let counters = &shared.counters;
-    match comp.cursor {
-        None => match comp.done {
-            Done::Ok { metrics, table, .. } => {
-                conn.push(&Frame::Result { metrics, table }, counters)
-            }
-            Done::Err { code, message } => conn.push(&Frame::Error { code, message }, counters),
-            Done::Skipped => {} // v1 jobs are never cancelled
-        },
-        Some(cursor) => {
-            let (cancelled, cancel_acked) = match conn.inflight.remove(&cursor) {
-                Some(f) => (
-                    f.cancelled || f.cancel.load(Ordering::Acquire),
-                    f.cancel_acked,
-                ),
-                None => (false, false),
-            };
-            match comp.done {
-                _ if cancelled => {
-                    // Cancelled while queued/executing: the result (if
-                    // any) is discarded; acknowledge the cancel — unless
-                    // the `Cancel` handler already did.
-                    if !cancel_acked {
-                        conn.push(
-                            &Frame::ResultEnd {
-                                cursor,
-                                batches: 0,
-                                rows: 0,
-                                cancelled: true,
-                            },
-                            counters,
-                        );
-                    }
+    let cursor = comp.cursor;
+    let (cancelled, cancel_acked) = match conn.inflight.remove(&cursor) {
+        Some(f) => (
+            f.cancelled || f.cancel.load(Ordering::Acquire),
+            f.cancel_acked,
+        ),
+        None => (false, false),
+    };
+    match comp.done {
+        Done::Ok {
+            metrics,
+            table,
+            generation,
+        } if !cancelled => {
+            if comp.subscribe_sql.is_some() && conn.cursors.contains_key(&cursor) {
+                // Refresh re-run landing on the live subscription cursor:
+                // swap the revision in and resume batching under the same
+                // cursor — no new ResultStart, the SubUpdate boundary
+                // frame delimits revisions.
+                let cur = conn.cursors.get_mut(&cursor).expect("checked above");
+                cur.table = table;
+                cur.next_row = 0;
+                if let Some(sub) = cur.sub.as_mut() {
+                    sub.generation = generation;
+                    sub.drained = false;
                 }
-                Done::Ok {
-                    metrics,
-                    table,
-                    generation,
-                } => {
-                    if comp.subscribe_sql.is_some() && conn.cursors.contains_key(&cursor) {
-                        // Refresh re-run landing on the live subscription
-                        // cursor: swap the revision in and resume batching
-                        // under the same cursor — no new ResultStart, the
-                        // SubUpdate boundary frame delimits revisions.
-                        let cur = conn.cursors.get_mut(&cursor).expect("checked above");
-                        cur.table = table;
-                        cur.next_row = 0;
-                        if let Some(sub) = cur.sub.as_mut() {
-                            sub.generation = generation;
-                            sub.drained = false;
-                        }
-                        return;
-                    }
-                    // Schema travels on ResultStart as a zero-row slice,
-                    // so even an empty result tells the client its shape.
-                    let schema = match table.slice(0, 0) {
-                        Ok(t) => Arc::new(t),
-                        Err(_) => {
-                            conn.push(
-                                &Frame::Error {
-                                    code: "server.internal".into(),
-                                    message: "result schema slice failed".into(),
-                                },
-                                counters,
-                            );
-                            return;
-                        }
-                    };
-                    counters.cursors_opened.fetch_add(1, Ordering::Relaxed);
-                    counters.cursors_open.fetch_add(1, Ordering::Relaxed);
-                    let sub = comp.subscribe_sql.map(|sql| {
-                        counters
-                            .subscriptions_opened
-                            .fetch_add(1, Ordering::Relaxed);
-                        SubState {
-                            sql,
-                            update: 0,
-                            generation,
-                            drained: false,
-                        }
-                    });
+                return;
+            }
+            // Schema travels on ResultStart as a zero-row slice, so even
+            // an empty result tells the client its shape.
+            let schema = match table.slice(0, 0) {
+                Ok(t) => Arc::new(t),
+                Err(_) => {
                     conn.push(
-                        &Frame::ResultStart {
-                            cursor,
-                            metrics,
-                            schema,
+                        &Frame::Error {
+                            code: "server.internal".into(),
+                            message: "result schema slice failed".into(),
                         },
                         counters,
                     );
-                    conn.cursors.insert(
+                    return;
+                }
+            };
+            counters.cursors_opened.fetch_add(1, Ordering::Relaxed);
+            counters.cursors_open.fetch_add(1, Ordering::Relaxed);
+            let sub = comp.subscribe_sql.map(|sql| {
+                counters
+                    .subscriptions_opened
+                    .fetch_add(1, Ordering::Relaxed);
+                SubState {
+                    sql,
+                    update: 0,
+                    generation,
+                    drained: false,
+                }
+            });
+            conn.push(
+                &Frame::ResultStart {
+                    cursor,
+                    metrics,
+                    schema,
+                },
+                counters,
+            );
+            conn.cursors.insert(
+                cursor,
+                Cursor {
+                    table,
+                    next_row: 0,
+                    credit: shared.cfg.initial_credit,
+                    seq: 0,
+                    stalled: false,
+                    sub,
+                },
+            );
+        }
+        Done::Err { code, message } if !cancelled => {
+            conn.push(&Frame::Error { code, message }, counters);
+            // An erroring refresh re-run ends the subscription: the
+            // cursor cannot advance past a failed revision.
+            conn.cancel_cursor(cursor, counters);
+        }
+        // Cancelled while queued/executing — the result (if any) is
+        // discarded — or skipped by the worker because a cancel raced
+        // delivery: acknowledge with a cancelled end, unless the `Cancel`
+        // handler already did.
+        _ => {
+            if !cancel_acked {
+                conn.push(
+                    &Frame::ResultEnd {
                         cursor,
-                        Cursor {
-                            table,
-                            next_row: 0,
-                            credit: shared.cfg.initial_credit,
-                            seq: 0,
-                            stalled: false,
-                            sub,
-                        },
-                    );
-                }
-                Done::Err { code, message } => {
-                    conn.push(&Frame::Error { code, message }, counters);
-                    // An erroring refresh re-run ends the subscription:
-                    // the cursor cannot advance past a failed revision.
-                    if let Some(cur) = conn.cursors.remove(&cursor) {
-                        counters.cursors_open.fetch_sub(1, Ordering::Relaxed);
-                        conn.push(
-                            &Frame::ResultEnd {
-                                cursor,
-                                batches: cur.seq,
-                                rows: cur.next_row as u64,
-                                cancelled: true,
-                            },
-                            counters,
-                        );
-                    }
-                }
-                Done::Skipped => {
-                    // Skipped without a recorded cancel only happens when
-                    // the connection died and was reborn — impossible
-                    // (tokens are unique) — or a cancel raced delivery;
-                    // either way a cancelled end is the honest answer.
-                    if !cancel_acked {
-                        conn.push(
-                            &Frame::ResultEnd {
-                                cursor,
-                                batches: 0,
-                                rows: 0,
-                                cancelled: true,
-                            },
-                            counters,
-                        );
-                    }
-                }
+                        batches: 0,
+                        rows: 0,
+                        cancelled: true,
+                    },
+                    counters,
+                );
             }
         }
     }

@@ -7,7 +7,7 @@
 //!
 //! Boots a server on an ephemeral loopback port, drives the Figure-1
 //! queries through a [`lazyetl::server::Client`] — results arrive as a
-//! credit-gated **batch stream** (protocol v2), so rows print before the
+//! credit-gated **batch stream**, so rows print before the
 //! query's tail is even on the wire — prints the per-request serving
 //! metrics, then shuts down gracefully: draining in-flight queries and
 //! snapshotting the hot cache so a second boot would warm-restart.
@@ -48,14 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("serving on {}\n", server.addr());
 
     // 3. A client on the other side of the socket. `connect` runs the
-    //    v2 Hello handshake, so `query` returns a QueryStream: batches
-    //    on demand, one credit granted back per batch consumed.
+    //    Hello handshake; `query` returns a QueryStream: batches on
+    //    demand, one credit granted back per batch consumed.
     let mut client = Client::connect(server.addr())?;
-    println!(
-        "negotiated protocol v{}, {} rows/batch\n",
-        client.protocol_version(),
-        client.batch_rows()
-    );
+    println!("{} rows/batch\n", client.batch_rows());
     for sql in [
         "SELECT network, station, COUNT(*) FROM mseed.files GROUP BY network, station",
         "SELECT F.station, MIN(D.sample_value), MAX(D.sample_value) \

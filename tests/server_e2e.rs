@@ -1,7 +1,7 @@
 //! End-to-end tests of the serving layer: real TCP connections against a
 //! real warehouse, covering the wire protocol's failure modes, admission
-//! control, streamed cursors (credit flow, cancel, backpressure), v1
-//! compatibility, and served-vs-serial result identity.
+//! control, streamed cursors (credit flow, cancel, backpressure), the
+//! retired whole-frame types, and served-vs-serial result identity.
 
 mod common;
 
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A full-scan projection over one stream: 2 files × 300 s × 40 Hz =
-/// 24 000 rows — big enough that v2 streams it as many record batches.
+/// 24 000 rows — big enough that it streams as many record batches.
 const WIDE_SCAN: &str =
     "SELECT D.sample_value FROM mseed.dataview WHERE F.station = 'HGN' AND F.channel = 'BHZ'";
 
@@ -76,11 +76,6 @@ fn served_results_match_serial_eager_baseline() {
             let baseline = &baseline;
             s.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                assert_eq!(
-                    client.protocol_version(),
-                    protocol::MAX_VERSION,
-                    "handshake negotiates the newest version"
-                );
                 for round in 0..3 {
                     for (i, sql) in mix.iter().enumerate() {
                         let got = expect_rows(&mut client, sql);
@@ -98,7 +93,7 @@ fn served_results_match_serial_eager_baseline() {
     assert_eq!(report.stats.queries_ok, 4 * 3 * 3);
     assert_eq!(report.stats.queries_err, 0);
     assert_eq!(report.stats.proto_errors, 0);
-    // Every v2 query opened (and closed) a streamed cursor.
+    // Every query opened (and closed) a streamed cursor.
     assert_eq!(report.stats.cursors_opened, 4 * 3 * 3);
     assert_eq!(
         report.stats.cursors_open, 0,
@@ -121,21 +116,22 @@ fn malformed_frames_are_rejected_with_stable_codes() {
 
     // Each malformed prelude gets an error frame with the right code,
     // then the connection closes.
+    const V: u8 = protocol::VERSION;
     let cases: Vec<(Vec<u8>, &str)> = vec![
         // Wrong magic.
-        (vec![0xFF, 0xFF, 1, 0x07, 0, 0, 0, 0], "proto.magic"),
+        (vec![0xFF, 0xFF, V, 0x07, 0, 0, 0, 0], "proto.magic"),
         // Wrong version.
         (vec![0x4C, 0x5A, 9, 0x07, 0, 0, 0, 0], "proto.version"),
         // Unknown frame type.
-        (vec![0x4C, 0x5A, 1, 0x6E, 0, 0, 0, 0], "proto.type"),
+        (vec![0x4C, 0x5A, V, 0x6E, 0, 0, 0, 0], "proto.type"),
         // Payload larger than the server's request cap.
         (
-            vec![0x4C, 0x5A, 1, 0x01, 0xFF, 0xFF, 0xFF, 0xFF],
+            vec![0x4C, 0x5A, V, 0x0D, 0xFF, 0xFF, 0xFF, 0xFF],
             "proto.oversize",
         ),
         // Query frame whose payload is shorter than its fixed prefix.
         (
-            vec![0x4C, 0x5A, 1, 0x01, 0, 0, 0, 2, 0, 0],
+            vec![0x4C, 0x5A, V, 0x0D, 0, 0, 0, 2, 0, 0],
             "proto.malformed",
         ),
     ];
@@ -159,7 +155,7 @@ fn malformed_frames_are_rejected_with_stable_codes() {
     // wedge the server: the writer disappears, the server just drops it.
     {
         let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(&[0x4C, 0x5A, 1, 0x01, 0, 0, 0, 50, 1, 2, 3])
+        raw.write_all(&[0x4C, 0x5A, V, 0x0D, 0, 0, 0, 50, 1, 2, 3])
             .unwrap();
         drop(raw);
     }
@@ -186,10 +182,11 @@ fn client_disconnect_mid_query_leaves_pool_healthy() {
     );
     let addr = server.addr();
 
-    // Send a slow v1 query, then vanish before the reply can be written.
+    // Send a slow query, then vanish while it is still in its think time.
     {
         let mut raw = TcpStream::connect(addr).unwrap();
-        let frame = protocol::frame_bytes(&Frame::Query {
+        let frame = protocol::frame_bytes(&Frame::QueryV2 {
+            cursor: 1,
             delay_ms: 200,
             sql: METADATA_QUERY.to_string(),
         })
@@ -199,18 +196,20 @@ fn client_disconnect_mid_query_leaves_pool_healthy() {
         drop(raw);
     }
 
-    // The single worker digests the orphaned query and then serves this.
+    // The single worker gets past the orphaned query and then serves this.
     let mut client = Client::connect(addr).unwrap();
     let t = expect_rows(&mut client, FIGURE1_Q2);
     assert!(t.num_rows() > 0);
 
-    // Give the worker time to finish the orphan so the drop is counted.
-    wait_for(&server, "orphaned reply recorded", |s| {
-        s.dropped_replies >= 1
-    });
+    // Reaping the dead connection flagged its job, so the worker skipped
+    // the orphan after the think time instead of executing it for nobody.
     let report = server.stop().unwrap();
-    assert_eq!(report.stats.dropped_replies, 1);
-    assert_eq!(report.stats.queries_ok, 2, "orphan + served query both ran");
+    assert_eq!(report.stats.queries_ok, 1, "only the served query ran");
+    assert_eq!(
+        report.stats.dropped_replies, 0,
+        "a skipped job drops nothing"
+    );
+    assert_eq!(report.stats.cursors_open, 0);
 }
 
 #[test]
@@ -285,7 +284,8 @@ fn oversized_query_rejected_without_serving_interruption() {
         "x".repeat(4096)
     );
     let mut raw = TcpStream::connect(addr).unwrap();
-    let frame = protocol::frame_bytes(&Frame::Query {
+    let frame = protocol::frame_bytes(&Frame::QueryV2 {
+        cursor: 1,
         delay_ms: 0,
         sql: huge_sql.clone(),
     })
@@ -420,7 +420,7 @@ fn stats_frame_reports_serving_counters() {
     assert_eq!(files as usize, repo.generated.files.len());
     let hit_rate: f64 = stats.get("server.cache_hit_rate").unwrap().parse().unwrap();
     assert!((0.0..=1.0).contains(&hit_rate));
-    // The v2 streaming counters travel over the same frame.
+    // The streaming counters travel over the same frame.
     let opened: u64 = stats.get("server.cursors_opened").unwrap().parse().unwrap();
     assert_eq!(opened, 2);
     let streamed: u64 = stats
@@ -433,51 +433,52 @@ fn stats_frame_reports_serving_counters() {
 }
 
 #[test]
-fn v1_client_is_served_whole_frame_by_v2_server() {
-    let repo = figure1_repo("srv_v1compat", 512);
+fn retired_v1_frames_get_proto_type_and_pool_survives() {
+    let repo = figure1_repo("srv_v1retired", 512);
+    let eager = Warehouse::open_eager(&repo.root, quiet_config()).unwrap();
     let wh = Arc::new(Warehouse::open_lazy(&repo.root, quiet_config()).unwrap());
     let server = start_server(Arc::clone(&wh), ServerConfig::default());
     let addr = server.addr();
 
-    // A v1 peer skips the handshake and gets whole-frame results.
-    let mut old = Client::connect_v1(addr).unwrap();
-    assert_eq!(old.protocol_version(), 1);
-    let mix = [FIGURE1_Q1, FIGURE1_Q2, METADATA_QUERY];
-    let v1_results: Vec<_> = mix.iter().map(|sql| expect_rows(&mut old, sql)).collect();
-    assert_eq!(
-        server.stats().cursors_opened,
-        0,
-        "v1 queries never open cursors"
-    );
-
-    // The iterator API works identically over a v1 connection: the whole
-    // result is surfaced as a single inline batch.
-    match old.query(FIGURE1_Q2).unwrap() {
-        QueryReply::Stream(mut stream) => {
-            let first = stream.next_batch().unwrap().expect("one inline batch");
-            assert_eq!(first, v1_results[1]);
-            assert!(stream.next_batch().unwrap().is_none(), "then end-of-stream");
-        }
-        _ => panic!("v1 stream adapter failed"),
+    // A whole-frame query (type 0x01: delay, flags, SQL) with no Hello is
+    // an unknown frame type: stable error, connection closed, nothing run.
+    let mut payload = vec![0, 0, 0, 0, 0];
+    payload.extend_from_slice(METADATA_QUERY.as_bytes());
+    let mut bytes = vec![0x4C, 0x5A, protocol::VERSION, 0x01];
+    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(&payload);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&bytes).unwrap();
+    match protocol::read_frame(&mut raw, protocol::DEFAULT_MAX_RESPONSE).unwrap() {
+        Frame::Error { code, .. } => assert_eq!(code, "proto.type"),
+        other => panic!("expected proto.type, got {other:?}"),
     }
+    let mut buf = [0u8; 1];
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "connection stays open");
 
-    // A v2 peer on the same server sees identical rows, streamed.
-    let mut new = Client::connect(addr).unwrap();
-    assert_eq!(new.protocol_version(), protocol::MAX_VERSION);
-    for (i, sql) in mix.iter().enumerate() {
+    // The violation is counted in the stats frame and leaked nothing.
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stats.get("server.proto_errors").map(String::as_str),
+        Some("1")
+    );
+    assert_eq!(server.stats().cursors_open, 0);
+    assert_eq!(server.stats().queries_ok, 0, "the retired query never ran");
+
+    // The pool is healthy: the Figure-1 mix still matches the eager baseline.
+    for sql in [FIGURE1_Q1, FIGURE1_Q2, METADATA_QUERY] {
         assert_eq!(
-            expect_rows(&mut new, sql),
-            v1_results[i],
-            "v1 and v2 clients must see identical rows for {sql:?}"
+            expect_rows(&mut client, sql),
+            *eager.query(sql).unwrap().table,
+            "served result diverged from the eager baseline for {sql:?}"
         );
     }
     let report = server.stop().unwrap();
-    assert_eq!(report.stats.queries_ok, 3 + 1 + 3);
-    assert_eq!(report.stats.proto_errors, 0);
-    assert_eq!(
-        report.stats.cursors_opened, 3,
-        "only the v2 queries streamed"
-    );
+    assert_eq!(report.stats.queries_ok, 3);
+    assert_eq!(report.stats.proto_errors, 1);
+    assert_eq!(report.stats.cursors_open, 0);
 }
 
 #[test]
@@ -840,30 +841,97 @@ fn subscription_ends_cleanly_on_server_drain() {
 }
 
 #[test]
-fn subscribe_rejected_below_v2_1() {
-    let repo = figure1_repo("srv_sub_v1", 512);
+fn cursor_ids_collide_across_queries_and_subscriptions() {
+    let repo = figure1_repo("srv_cursor_ids", 512);
+    let wh = Arc::new(Warehouse::open_lazy(&repo.root, quiet_config()).unwrap());
+    let server = start_server(Arc::clone(&wh), ServerConfig::default());
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut send = |frame: Frame| {
+        raw.write_all(&protocol::frame_bytes(&frame).unwrap())
+            .unwrap();
+        // Read up to the frame that settles the request.
+        loop {
+            match protocol::read_frame(&mut raw, protocol::DEFAULT_MAX_RESPONSE).unwrap() {
+                Frame::ResultStart { .. } | Frame::ResultBatch { .. } => {}
+                settled => return settled,
+            }
+        }
+    };
+    let sql = "SELECT COUNT(*) FROM mseed.files".to_string();
+
+    // A live subscription cursor blocks a one-shot query on the same id…
+    let opened = send(Frame::Subscribe {
+        cursor: 5,
+        sql: sql.clone(),
+    });
+    assert!(
+        matches!(opened, Frame::SubUpdate { cursor: 5, .. }),
+        "{opened:?}"
+    );
+    for frame in [
+        Frame::QueryV2 {
+            cursor: 5,
+            delay_ms: 0,
+            sql: sql.clone(),
+        },
+        Frame::Subscribe {
+            cursor: 5,
+            sql: sql.clone(),
+        },
+    ] {
+        match send(frame) {
+            Frame::Error { code, .. } => assert_eq!(code, "server.cursor"),
+            other => panic!("expected server.cursor, got {other:?}"),
+        }
+    }
+    // …while a fresh id on the same connection is served.
+    let ended = send(Frame::QueryV2 {
+        cursor: 6,
+        delay_ms: 0,
+        sql,
+    });
+    assert!(
+        matches!(
+            ended,
+            Frame::ResultEnd {
+                cursor: 6,
+                cancelled: false,
+                ..
+            }
+        ),
+        "{ended:?}"
+    );
+    drop(raw);
+    wait_for(&server, "subscription cursor reaped", |s| {
+        s.cursors_open == 0
+    });
+    let report = server.stop().unwrap();
+    assert_eq!(report.stats.queries_ok, 2, "the collisions never ran");
+    assert_eq!(report.stats.proto_errors, 0, "a collision is not fatal");
+}
+
+#[test]
+fn subscribe_rejected_below_current_version() {
+    let repo = figure1_repo("srv_sub_version", 512);
     let wh = Arc::new(Warehouse::open_lazy(&repo.root, quiet_config()).unwrap());
     let server = start_server(Arc::clone(&wh), ServerConfig::default());
 
-    // The v1 client refuses locally — it never negotiated subscriptions.
-    let mut old = Client::connect_v1(server.addr()).unwrap();
-    assert!(old.subscribe(FIGURE1_Q1).is_err());
-    // The connection is still perfectly usable for v1 queries.
-    assert!(expect_rows(&mut old, FIGURE1_Q1).num_rows() > 0);
-
-    // A raw Subscribe frame without any handshake gets the stable
-    // protocol error from the server side.
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    let bytes = protocol::frame_bytes(&Frame::Subscribe {
+    // A Subscribe frame stamped with an older protocol version fails at
+    // the header with the stable code.
+    let mut bytes = protocol::frame_bytes(&Frame::Subscribe {
         cursor: 1,
         sql: FIGURE1_Q1.to_string(),
     })
     .unwrap();
+    bytes[2] = protocol::VERSION - 1;
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.write_all(&bytes).unwrap();
     match protocol::read_frame(&mut stream, protocol::DEFAULT_MAX_RESPONSE).unwrap() {
-        Frame::Error { code, .. } => assert_eq!(code, "proto.unexpected"),
-        other => panic!("expected proto.unexpected, got {other:?}"),
+        Frame::Error { code, .. } => assert_eq!(code, "proto.version"),
+        other => panic!("expected proto.version, got {other:?}"),
     }
 
-    server.stop().unwrap();
+    let report = server.stop().unwrap();
+    assert_eq!(report.stats.subscriptions_opened, 0);
+    assert_eq!(report.stats.proto_errors, 1);
 }

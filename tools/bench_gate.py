@@ -162,6 +162,22 @@ E14_ADMISSION_MIN_BUSY = 1
 # 100x oversubscription is contention noise, not a regression signal).
 E14_CONNSWEEP_CLIENTS = (50, 100, 200)
 
+# E14's row schema: the worker counts the warm sweep covers, and the
+# fields every Figure-1-mix row (cold / warm / admission / connsweep) and
+# the memceil row must carry — CI consumers read them by name.
+E14_WARM_WORKERS = [1, 2, 4]
+E14_MIX_FIELDS = (
+    "phase", "workers", "clients", "queue_depth", "total_queries",
+    "busy_rejections", "busy_rate", "throughput_qps", "p50_us", "p99_us",
+    "cache_hit_rate", "records_extracted",
+    "cursors_opened", "batches_streamed", "credit_stalls",
+)
+E14_MEMCEIL_FIELDS = (
+    "batch_rows", "initial_credit", "max_outbuf_bytes", "rows",
+    "batches_streamed", "credit_stalls", "outbuf_hwm_bytes",
+    "ceiling_bytes", "ceiling_ok", "elapsed_us",
+)
+
 # E15's agg_parallel sweep: 2 execution workers must beat 1 by this factor.
 # Loose on purpose (perfect scaling would be 2.0) and only applied when the
 # measuring host reports >= 2 cores — on a single-core runner the workers
@@ -363,7 +379,13 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                 failures.append("e18[recompute]: maintenance-disabled ablation still patched")
 
     if exp == "e14":
+        warm = sorted(r.get("workers") for r in current_doc["rows"] if r.get("phase") == "warm")
+        if warm != E14_WARM_WORKERS:
+            failures.append(f"e14[warm]: worker sweep {warm}, want {E14_WARM_WORKERS}")
+
         admission = [r for r in current_doc["rows"] if r.get("phase") == "admission"]
+        if not admission:
+            failures.append("e14: admission row missing from current run")
         for row in admission:
             if row.get("busy_rejections", 0) < E14_ADMISSION_MIN_BUSY:
                 failures.append(
@@ -375,19 +397,18 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                     f"(rate {row.get('busy_rate', 0):.2f}) ok"
                 )
 
-        # The v2 streaming counters must actually move: every served query
-        # opens a cursor and streams at least one batch.
+        # Every mix row carries the full schema, and the streaming counters
+        # actually move: every served query opens a cursor and streams at
+        # least one batch.
         for row in current_doc["rows"]:
             if row.get("phase") in ("cold", "warm", "admission", "connsweep"):
-                for counter in ("cursors_opened", "batches_streamed", "credit_stalls"):
-                    if counter not in row:
-                        failures.append(
-                            f"e14[{row.get('phase')}]: streaming counter {counter} missing"
-                        )
+                for field in E14_MIX_FIELDS:
+                    if field not in row:
+                        failures.append(f"e14[{row.get('phase')}]: field {field} missing")
                 if row.get("cursors_opened", 0) < row.get("total_queries", 0):
                     failures.append(
                         f"e14[{row.get('phase')}]: {row.get('cursors_opened')} cursors for "
-                        f"{row.get('total_queries')} queries — v2 streaming not in use"
+                        f"{row.get('total_queries')} queries — results not streamed"
                     )
 
         # Connection sweep: hundreds of clients over a 2-worker pool must
@@ -412,10 +433,14 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
         # Memory ceiling: a stalled reader must suspend its cursor (credit
         # stalls observed) while the outbound high-water mark stays under
         # the configured ceiling — the O(batch)-not-O(result) guarantee.
-        memceil = next((r for r in current_doc["rows"] if r.get("phase") == "memceil"), None)
-        if memceil is None:
-            failures.append("e14: memceil row missing from current run")
+        memceils = [r for r in current_doc["rows"] if r.get("phase") == "memceil"]
+        if len(memceils) != 1:
+            failures.append(f"e14: {len(memceils)} memceil rows in current run, want exactly 1")
         else:
+            memceil = memceils[0]
+            for field in E14_MEMCEIL_FIELDS:
+                if field not in memceil:
+                    failures.append(f"e14[memceil]: field {field} missing")
             if memceil.get("ceiling_ok") is not True:
                 failures.append(
                     f"e14[memceil]: outbuf high water {memceil.get('outbuf_hwm_bytes')}B "
