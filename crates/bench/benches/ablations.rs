@@ -20,7 +20,7 @@ use std::hint::black_box;
 fn config(metadata_first: bool, pruning: bool) -> WarehouseConfig {
     WarehouseConfig {
         auto_refresh: false,
-        use_cache: false,
+        cache_budget_bytes: 0,
         metadata_predicate_first: metadata_first,
         record_level_pruning: pruning,
         ..Default::default()

@@ -26,7 +26,7 @@ fn bench_parallel(c: &mut Criterion) {
             &repo,
             WarehouseConfig {
                 auto_refresh: false,
-                use_cache: false,
+                cache_budget_bytes: 0,
                 extraction_threads: threads,
                 ..Default::default()
             },

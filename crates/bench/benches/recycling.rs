@@ -21,7 +21,7 @@ fn bench_recycling(c: &mut Criterion) {
             "cold",
             WarehouseConfig {
                 auto_refresh: false,
-                use_cache: false,
+                cache_budget_bytes: 0,
                 ..Default::default()
             },
         ),

@@ -1127,7 +1127,7 @@ fn e10_parallel(scale: ScaleName) {
             &dir,
             WarehouseConfig {
                 auto_refresh: false,
-                use_cache: false,
+                cache_budget_bytes: 0,
                 extraction_threads: threads,
                 ..Default::default()
             },
@@ -1171,7 +1171,7 @@ fn e11_recycling(scale: ScaleName) {
             "no caching (re-extract every run)",
             WarehouseConfig {
                 auto_refresh: false,
-                use_cache: false,
+                cache_budget_bytes: 0,
                 ..Default::default()
             },
         ),

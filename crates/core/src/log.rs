@@ -8,7 +8,13 @@
 //! appending takes `&self` and concurrent queries interleave their entries
 //! in arrival order — one total order, exactly what the demo's "in which
 //! order" item needs.
+//!
+//! It is a window, not an archive: at most `LOG_CAPACITY` (65 536) entries are
+//! held and the oldest is dropped to admit a new one, so a server that
+//! answers queries for weeks holds a bounded log. Sequence numbers keep
+//! counting, and [`EtlLog::dropped`] says how many entries have left.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -256,13 +262,24 @@ pub struct LogEntry {
     pub op: EtlOp,
 }
 
+/// Entries the log holds before it starts dropping the oldest: at the ~6
+/// entries a query pushes, the last ten thousand queries.
+pub(crate) const LOG_CAPACITY: usize = 1 << 16;
+
 #[derive(Debug)]
 struct LogInner {
-    entries: Vec<LogEntry>,
+    entries: VecDeque<LogEntry>,
     next_seq: u64,
 }
 
-/// Append-only operations log, safe to share between query threads.
+impl LogInner {
+    fn dropped(&self) -> u64 {
+        self.next_seq - self.entries.len() as u64
+    }
+}
+
+/// Operations log over the most recent 65 536 entries, safe to share
+/// between query threads.
 #[derive(Debug)]
 pub struct EtlLog {
     started: Instant,
@@ -281,7 +298,7 @@ impl EtlLog {
         EtlLog {
             started: Instant::now(),
             inner: Mutex::new(LogInner {
-                entries: Vec::new(),
+                entries: VecDeque::new(),
                 next_seq: 0,
             }),
         }
@@ -291,7 +308,8 @@ impl EtlLog {
         self.inner.lock().expect("etl log poisoned")
     }
 
-    /// Append one operation.
+    /// Append one operation, dropping the oldest entry when the log is
+    /// full.
     pub fn push(&self, op: EtlOp) {
         let mut inner = self.locked();
         // Read the clock under the lock so `at_us` is monotone in `seq`
@@ -299,17 +317,26 @@ impl EtlLog {
         let at_us = self.started.elapsed().as_micros() as u64;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.entries.push(LogEntry { seq, at_us, op });
+        if inner.entries.len() == LOG_CAPACITY {
+            inner.entries.pop_front();
+        }
+        inner.entries.push_back(LogEntry { seq, at_us, op });
     }
 
-    /// A snapshot of all entries, oldest first.
+    /// A snapshot of the held entries, oldest first.
     pub fn entries(&self) -> Vec<LogEntry> {
-        self.locked().entries.clone()
+        self.locked().entries.iter().cloned().collect()
     }
 
-    /// Number of entries.
+    /// Number of entries held.
     pub fn len(&self) -> usize {
         self.locked().entries.len()
+    }
+
+    /// Entries pushed but no longer held: overwritten when the log was
+    /// full, or cleared.
+    pub fn dropped(&self) -> u64 {
+        self.locked().dropped()
     }
 
     /// True when nothing was logged.
@@ -322,10 +349,16 @@ impl EtlLog {
         self.locked().entries.clear();
     }
 
-    /// Render the log as text, one line per entry.
+    /// Render the log as text, one line per entry; when entries have been
+    /// dropped, a first line says how many.
     pub fn render(&self) -> String {
+        let inner = self.locked();
         let mut out = String::new();
-        for e in self.locked().entries.iter() {
+        let dropped = inner.dropped();
+        if dropped > 0 {
+            out.push_str(&format!("[{dropped} older entries dropped]\n"));
+        }
+        for e in inner.entries.iter() {
             out.push_str(&format!("[{:>6}] t+{:>9}us {:?}\n", e.seq, e.at_us, e.op));
         }
         out
@@ -369,6 +402,21 @@ mod tests {
         assert!(log.is_empty());
         log.push(EtlOp::StaleDrop { uri: "y".into() });
         assert_eq!(log.entries()[0].seq, 1, "seq continues after clear");
+    }
+
+    #[test]
+    fn full_log_drops_the_oldest_entry() {
+        let log = EtlLog::new();
+        for _ in 0..LOG_CAPACITY + 10 {
+            log.push(EtlOp::CacheEvict {
+                entries: 1,
+                bytes: 0,
+            });
+        }
+        assert_eq!(log.len(), LOG_CAPACITY);
+        assert_eq!(log.entries()[0].seq, 10);
+        assert_eq!(log.dropped(), 10);
+        assert!(log.render().starts_with("[10 older entries dropped]\n"));
     }
 
     #[test]

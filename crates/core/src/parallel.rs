@@ -67,17 +67,6 @@ pub struct FileGroup<'a> {
     pub to_extract: Vec<RecordLocator>,
 }
 
-/// Extract every group's records and materialize their `D` rows, using up
-/// to `threads` worker threads. See [`extract_groups_into`] — this variant
-/// skips cache admission.
-pub fn extract_groups(
-    extractor: &FormatRegistry,
-    groups: &[FileGroup<'_>],
-    threads: usize,
-) -> Vec<Result<Vec<ExtractedRecord>>> {
-    extract_groups_into(extractor, groups, threads, None)
-}
-
 /// Extract every group's records, materialize their `D` rows, and — when a
 /// cache is supplied — **admit each record to its cache shard from the
 /// worker that decoded it**, using up to `threads` worker threads.
@@ -207,9 +196,9 @@ mod tests {
         let groups = groups_for(&repo, &extractor);
         assert!(groups.len() > 2, "need several files to parallelize");
 
-        let seq = extract_groups(&extractor, &groups, 1);
+        let seq = extract_groups_into(&extractor, &groups, 1, None);
         for threads in [2, 4, 8] {
-            let par = extract_groups(&extractor, &groups, threads);
+            let par = extract_groups_into(&extractor, &groups, threads, None);
             assert_eq!(par.len(), seq.len());
             for (a, b) in seq.iter().zip(&par) {
                 let a = a.as_ref().unwrap();
@@ -239,7 +228,7 @@ mod tests {
         // Even with a bogus path the empty group must not error, because
         // the file is never opened.
         groups[0].entry.path = std::path::PathBuf::from("/nonexistent/file.mseed");
-        let results = extract_groups(&extractor, &groups, 4);
+        let results = extract_groups_into(&extractor, &groups, 4, None);
         for r in results {
             assert!(r.unwrap().is_empty());
         }
@@ -268,7 +257,7 @@ mod tests {
         }
         // The no-cache variant leaves the cache untouched.
         let cache2 = RecyclingCache::new(256 << 20);
-        let _ = extract_groups(&extractor, &groups, 4);
+        let _ = extract_groups_into(&extractor, &groups, 4, None);
         assert!(cache2.is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
@@ -290,7 +279,7 @@ mod tests {
         let extractor = FormatRegistry::default();
         let mut groups = groups_for(&repo, &extractor);
         groups[1].entry.path = std::path::PathBuf::from("/nonexistent/file.mseed");
-        let results = extract_groups(&extractor, &groups, 4);
+        let results = extract_groups_into(&extractor, &groups, 4, None);
         assert!(results[0].is_ok());
         assert!(
             results[1].is_err(),

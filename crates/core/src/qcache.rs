@@ -24,7 +24,8 @@
 //!   insert-only refresh, [`QueryResultCache::apply_delta`] runs that plan
 //!   over just the delta tables (via a caller-supplied executor) and folds
 //!   the result in: appending rows for filter/project/join cores, merging
-//!   SUM/COUNT/MIN/MAX/AVG group states for root aggregations.
+//!   SUM/COUNT/MIN/MAX/AVG group states for root aggregations with the
+//!   executor's own merge ([`lazyetl_query::exec::merge_state_tables`]).
 //!
 //! Anything else falls back to the original behaviour — drop and recompute
 //! on next query. Entries admitted under an older generation that somehow
@@ -42,9 +43,9 @@
 //! A single mutex (rather than lock striping) suffices here — the recycler
 //! is touched at most twice per query, never per record.
 
-use lazyetl_query::{LogicalPlan, MaintKind, MergeSpec};
-use lazyetl_store::{GroupKey, Table, Value};
-use std::cmp::Ordering;
+use lazyetl_query::exec::merge_state_tables;
+use lazyetl_query::{LogicalPlan, MaintKind};
+use lazyetl_store::Table;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -561,12 +562,10 @@ fn patch_entry(
             merges,
             post_project,
         } => {
-            let merged = Arc::new(merge_aggregate_states(
-                &state,
-                &delta_out,
-                *group_cols,
-                merges,
-            )?);
+            let merged = Arc::new(
+                merge_state_tables(&state, &delta_out, *group_cols, merges)
+                    .map_err(|e| e.to_string())?,
+            );
             let visible = match post_project {
                 None => merged.clone(),
                 Some(exprs) => {
@@ -596,116 +595,10 @@ fn patch_entry(
     Ok(rows)
 }
 
-/// Merge a delta's aggregate state table into the resident one: existing
-/// groups merge column-wise per [`MergeSpec`]; new groups append in delta
-/// first-appearance order (matching what a full recompute over the
-/// old-then-delta input order would produce).
-fn merge_aggregate_states(
-    old: &Table,
-    delta: &Table,
-    group_cols: usize,
-    merges: &[MergeSpec],
-) -> Result<Table, String> {
-    if old.schema != delta.schema {
-        return Err("delta state schema mismatch".to_string());
-    }
-    let err = |e: lazyetl_store::StoreError| format!("state row access failed: {e}");
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(old.num_rows() + delta.num_rows());
-    for i in 0..old.num_rows() {
-        rows.push(old.row(i).map_err(err)?);
-    }
-    let mut index: HashMap<Vec<GroupKey>, usize> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r[..group_cols].iter().map(Value::group_key).collect(), i))
-        .collect();
-    for i in 0..delta.num_rows() {
-        let drow = delta.row(i).map_err(err)?;
-        let key: Vec<GroupKey> = drow[..group_cols].iter().map(Value::group_key).collect();
-        let Some(&at) = index.get(&key) else {
-            index.insert(key, rows.len());
-            rows.push(drow);
-            continue;
-        };
-        // Plain columns first; AVG re-derives from its merged companions.
-        for (j, spec) in merges.iter().enumerate() {
-            if matches!(spec, MergeSpec::Avg { .. }) {
-                continue;
-            }
-            let col = group_cols + j;
-            rows[at][col] = merge_value(*spec, &rows[at][col], &drow[col])?;
-        }
-        for (j, spec) in merges.iter().enumerate() {
-            if let MergeSpec::Avg { sum_col, cnt_col } = *spec {
-                let col = group_cols + j;
-                rows[at][col] = avg_from_companions(&rows[at][sum_col], &rows[at][cnt_col]);
-            }
-        }
-    }
-    let mut out = Table::empty(old.schema.clone());
-    for row in rows {
-        out.append_row(row)
-            .map_err(|e| format!("merged state rebuild failed: {e}"))?;
-    }
-    Ok(out)
-}
-
-/// Merge one aggregate column value with its delta counterpart.
-fn merge_value(spec: MergeSpec, old: &Value, new: &Value) -> Result<Value, String> {
-    match spec {
-        MergeSpec::Count => {
-            let a = old.as_i64().unwrap_or(0);
-            let b = new.as_i64().unwrap_or(0);
-            a.checked_add(b)
-                .map(Value::Int64)
-                .ok_or_else(|| "COUNT overflow".to_string())
-        }
-        MergeSpec::SumInt => match (old, new) {
-            (Value::Null, v) | (v, Value::Null) => Ok(v.clone()),
-            (a, b) => {
-                let a = a.as_i64().ok_or("non-integer SUM state")?;
-                let b = b.as_i64().ok_or("non-integer SUM delta")?;
-                a.checked_add(b)
-                    .map(Value::Int64)
-                    .ok_or_else(|| "integer SUM overflow".to_string())
-            }
-        },
-        MergeSpec::SumFloat => match (old, new) {
-            (Value::Null, v) | (v, Value::Null) => Ok(v.clone()),
-            (a, b) => {
-                let a = a.as_f64().ok_or("non-numeric SUM state")?;
-                let b = b.as_f64().ok_or("non-numeric SUM delta")?;
-                Ok(Value::Float64(a + b))
-            }
-        },
-        MergeSpec::Min | MergeSpec::Max => match (old, new) {
-            (Value::Null, v) | (v, Value::Null) => Ok(v.clone()),
-            (a, b) => {
-                let ord = a.sql_cmp(b).ok_or("incomparable MIN/MAX state")?;
-                let keep_old = match spec {
-                    MergeSpec::Min => ord != Ordering::Greater,
-                    _ => ord != Ordering::Less,
-                };
-                Ok(if keep_old { a.clone() } else { b.clone() })
-            }
-        },
-        MergeSpec::Avg { .. } => unreachable!("AVG merges via its companion columns"),
-    }
-}
-
-/// Recompute an AVG cell from its merged SUM/COUNT companions, mirroring
-/// the executor's finish step (`sum / n`, NULL when no non-null samples).
-fn avg_from_companions(sum: &Value, cnt: &Value) -> Value {
-    let n = cnt.as_i64().unwrap_or(0);
-    match sum.as_f64() {
-        Some(s) if n > 0 => Value::Float64(s / n as f64),
-        _ => Value::Null,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazyetl_query::MergeSpec;
     use lazyetl_store::{DataType, Field, Schema, Value};
 
     fn table_of(rows: usize) -> Arc<Table> {
@@ -996,70 +889,5 @@ mod tests {
         assert_eq!(out.dropped.len(), 1);
         assert!(c.is_empty());
         assert_eq!(c.stats().recompute_fallbacks, 1);
-    }
-
-    #[test]
-    fn avg_merges_via_companions() {
-        // g | AVG(v) | __maint_sum | __maint_cnt   (group_cols = 1)
-        let schema = Schema::new(vec![
-            Field::new("g", DataType::Int64),
-            Field::nullable("avg", DataType::Float64),
-            Field::nullable("s", DataType::Float64),
-            Field::nullable("n", DataType::Int64),
-        ])
-        .unwrap();
-        let mk = |g: i64, avg: f64, s: f64, n: i64| {
-            vec![
-                Value::Int64(g),
-                Value::Float64(avg),
-                Value::Float64(s),
-                Value::Int64(n),
-            ]
-        };
-        let mut old = Table::empty(schema.clone());
-        old.append_row(mk(1, 2.0, 6.0, 3)).unwrap();
-        let mut dstate = Table::empty(schema.clone());
-        dstate.append_row(mk(1, 6.0, 6.0, 1)).unwrap();
-        let merged = merge_aggregate_states(
-            &old,
-            &dstate,
-            1,
-            &[
-                MergeSpec::Avg {
-                    sum_col: 2,
-                    cnt_col: 3,
-                },
-                MergeSpec::SumFloat,
-                MergeSpec::Count,
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            merged.row(0).unwrap(),
-            vec![
-                Value::Int64(1),
-                Value::Float64(3.0),
-                Value::Float64(12.0),
-                Value::Int64(4),
-            ]
-        );
-    }
-
-    #[test]
-    fn integer_sum_overflow_falls_back() {
-        let schema = Schema::new(vec![
-            Field::new("g", DataType::Int64),
-            Field::nullable("s", DataType::Int64),
-        ])
-        .unwrap();
-        let mut old = Table::empty(schema.clone());
-        old.append_row(vec![Value::Int64(1), Value::Int64(i64::MAX)])
-            .unwrap();
-        let mut dstate = Table::empty(schema.clone());
-        dstate
-            .append_row(vec![Value::Int64(1), Value::Int64(1)])
-            .unwrap();
-        let err = merge_aggregate_states(&old, &dstate, 1, &[MergeSpec::SumInt]).unwrap_err();
-        assert!(err.contains("overflow"), "{err}");
     }
 }

@@ -149,8 +149,6 @@ pub struct WarehouseConfig {
     /// — the pre-upgrade behaviour and the E17 planner ablation. Results
     /// are identical either way; only plan shape and cost change.
     pub cost_based_planning: bool,
-    /// Use the recycling cache (ablation flag).
-    pub use_cache: bool,
     /// Recycle **final query results** keyed by optimized-plan fingerprint
     /// (the second recycler level of §3.3; experiment E11). Off by default
     /// so per-query extraction accounting stays observable.
@@ -189,7 +187,6 @@ impl Default for WarehouseConfig {
             record_level_pruning: true,
             time_index_seek: true,
             cost_based_planning: true,
-            use_cache: true,
             recycle_query_results: false,
             result_cache_budget_bytes: 64 << 20,
             maintain_recycled_results: true,
@@ -1048,33 +1045,8 @@ impl Warehouse {
         // catalog + index; concurrent refreshes wait for the read lock.
         let state = self.read_state();
 
-        // Parse and plan.
-        let stmt = parse_select(sql)?;
-        let source = match self.mode {
-            Mode::Lazy => {
-                TableSource::new(&state.catalog).with_external(DATA_TABLE, schema::data_schema())
-            }
-            Mode::Eager => TableSource::new(&state.catalog),
-        };
-        let plan = plan_select(&stmt, &source)?;
-        report.stages.push(("logical".into(), plan.display()));
-
-        // Compile-time optimization (metadata predicates first), costed
-        // on the catalog's statistics when cost-based planning is on.
-        let cost_model = if self.config.metadata_predicate_first && self.config.cost_based_planning
-        {
-            Some(self.build_cost_model(&state))
-        } else {
-            None
-        };
-        let plan = if let Some(model) = &cost_model {
-            optimize_with_cost(&plan, model)?
-        } else if self.config.metadata_predicate_first {
-            optimize(&plan)?
-        } else {
-            // Ablation: keep literal coercion and folding, skip pushdown.
-            fold_constants(&coerce_timestamp_literals(&plan)?)
-        };
+        let (logical, plan, cost_model) = self.compile(&state, sql)?;
+        report.stages.push(("logical".into(), logical.display()));
         report.stages.push(("optimized".into(), plan.display()));
         self.log.push(EtlOp::PlanRewrite {
             stage: "compile-time".into(),
@@ -1140,7 +1112,6 @@ impl Warehouse {
                 let cache = &self.cache;
                 let log = &self.log;
                 let extractor = &self.extractor;
-                let use_cache = self.config.use_cache;
                 let threads = self.config.extraction_threads;
                 let parallelism = self.config.parallelism;
                 let metrics = &self.exec_metrics;
@@ -1153,8 +1124,7 @@ impl Warehouse {
                 };
                 let mut fetch = |pairs: &[(i64, i64)]| -> Result<Arc<Table>> {
                     fetch_pairs(
-                        state, counters, extractor, cache, log, use_cache, threads, pairs,
-                        &mut stats,
+                        state, counters, extractor, cache, log, threads, pairs, &mut stats,
                     )
                 };
                 let ctx = RewriteContext {
@@ -1363,12 +1333,17 @@ impl Warehouse {
         Ok(self.query(sql)?.report.stages)
     }
 
-    /// Compile-time plan preview: parse, plan and optimize *without*
-    /// executing anything — no extraction, no cache traffic, no log
-    /// entries. Returns the `logical` and `optimized` stages; the
-    /// `rewritten` stage only exists at run time (see [`Self::explain`]).
-    pub fn plan_preview(&self, sql: &str) -> Result<Vec<(String, String)>> {
-        let state = self.read_state();
+    /// The query front end: parse, resolve tables for this warehouse's
+    /// mode, plan, and optimize as the configuration says. Returns the
+    /// logical plan, the optimized plan, and the cost model when the
+    /// optimization was costed. [`Self::query`], [`Self::plan_preview`]
+    /// and [`Self::estimate_query_rows`] all compile here, so none of them
+    /// can describe a plan the warehouse would not run.
+    fn compile(
+        &self,
+        state: &WarehouseState,
+        sql: &str,
+    ) -> Result<(LogicalPlan, LogicalPlan, Option<CostModel>)> {
         let stmt = parse_select(sql)?;
         let source = match self.mode {
             Mode::Lazy => {
@@ -1376,78 +1351,50 @@ impl Warehouse {
             }
             Mode::Eager => TableSource::new(&state.catalog),
         };
-        let plan = plan_select(&stmt, &source)?;
-        let mut stages = vec![("logical".to_string(), plan.display())];
-        let optimized = if self.config.metadata_predicate_first {
-            optimize(&plan)?
+        let logical = plan_select(&stmt, &source)?;
+
+        // Compile-time optimization (metadata predicates first), costed
+        // on the catalog's statistics when cost-based planning is on.
+        let cost_model = (self.config.metadata_predicate_first && self.config.cost_based_planning)
+            .then(|| self.build_cost_model(state));
+        let optimized = if let Some(model) = &cost_model {
+            optimize_with_cost(&logical, model)?
+        } else if self.config.metadata_predicate_first {
+            optimize(&logical)?
         } else {
-            fold_constants(&coerce_timestamp_literals(&plan)?)
+            // Ablation: keep literal coercion and folding, skip pushdown.
+            fold_constants(&coerce_timestamp_literals(&logical)?)
         };
-        stages.push(("optimized".to_string(), optimized.display()));
-        Ok(stages)
+        Ok((logical, optimized, cost_model))
+    }
+
+    /// Compile-time plan preview: parse, plan and optimize *without*
+    /// executing anything — no extraction, no cache traffic, no log
+    /// entries. Returns the `logical` and `optimized` stages exactly as
+    /// [`Self::query`] would report them; the `rewritten` stage only
+    /// exists at run time (see [`Self::explain`]).
+    pub fn plan_preview(&self, sql: &str) -> Result<Vec<(String, String)>> {
+        let (logical, optimized, _) = self.compile(&self.read_state(), sql)?;
+        Ok(vec![
+            ("logical".to_string(), logical.display()),
+            ("optimized".to_string(), optimized.display()),
+        ])
     }
 
     /// Estimate the result cardinality of `sql` **without executing it**
     /// — no extraction, no cache traffic, no log entries, no refresh.
-    /// This is the serving layer's cost-based-admission probe: parse,
-    /// plan, optimize with the statistics-backed cost model, and ask the
-    /// model for the optimized plan's row estimate.
+    /// This is the serving layer's cost-based-admission probe: compile
+    /// with the statistics-backed cost model, and ask the model for the
+    /// optimized plan's row estimate.
     ///
     /// Returns `Ok(None)` when no estimate is available: cost-based
     /// planning disabled, or the plan contains something the model cannot
     /// cost. Callers treat `None` as "admit on queue depth alone".
     pub fn estimate_query_rows(&self, sql: &str) -> Result<Option<u64>> {
-        if !(self.config.metadata_predicate_first && self.config.cost_based_planning) {
-            return Ok(None);
-        }
-        let state = self.read_state();
-        let stmt = parse_select(sql)?;
-        let source = match self.mode {
-            Mode::Lazy => {
-                TableSource::new(&state.catalog).with_external(DATA_TABLE, schema::data_schema())
-            }
-            Mode::Eager => TableSource::new(&state.catalog),
-        };
-        let plan = plan_select(&stmt, &source)?;
-        let model = self.build_cost_model(&state);
-        let optimized = optimize_with_cost(&plan, &model)?;
-        Ok(model
-            .estimate_rows(&optimized)
+        let (_, optimized, cost_model) = self.compile(&self.read_state(), sql)?;
+        Ok(cost_model
+            .and_then(|model| model.estimate_rows(&optimized))
             .map(|r| r.round().max(0.0) as u64))
-    }
-
-    /// Run a SQL query and hand the result to `sink` as fixed-size
-    /// record batches of at most `batch_rows` rows (the serving layer's
-    /// streamed-cursor source; batch boundaries line up with the morsel
-    /// size used by parallel execution when `batch_rows` matches
-    /// [`lazyetl_query::exec::DEFAULT_MORSEL_ROWS`]).
-    ///
-    /// The sink returns `true` to keep consuming and `false` to stop
-    /// early (a cancelled cursor); early stop is not an error. Batches
-    /// are zero-copy column slices of the single materialized result, so
-    /// this adds no per-batch decode cost over [`Self::query`]. A
-    /// zero-row result invokes the sink zero times — the schema travels
-    /// in the returned report's `rows == 0` case via [`Table::slice`] of
-    /// the result, which the serving layer sends as `ResultStart`.
-    pub fn query_batched(
-        &self,
-        sql: &str,
-        batch_rows: usize,
-        sink: &mut dyn FnMut(Table) -> bool,
-    ) -> Result<QueryReport> {
-        let out = self.query(sql)?;
-        let batch_rows = batch_rows.max(1);
-        let total = out.table.num_rows();
-        let mut off = 0;
-        while off < total {
-            let len = batch_rows.min(total - off);
-            let batch = out.table.slice(off, len).map_err(EtlError::Store)?;
-            if !sink(batch) {
-                break;
-            }
-            off += len;
-        }
-        Ok(out.report)
     }
 
     /// Rescan the repository and fold any changes into the warehouse.
@@ -1712,7 +1659,6 @@ impl Warehouse {
                     &self.extractor,
                     &self.cache,
                     &self.log,
-                    self.config.use_cache,
                     self.config.extraction_threads,
                     &pairs,
                     &mut stats,
@@ -2092,7 +2038,6 @@ fn fetch_pairs(
     extractor: &FormatRegistry,
     cache: &RecyclingCache,
     log: &EtlLog,
-    use_cache: bool,
     threads: usize,
     pairs: &[(i64, i64)],
     stats: &mut FetchStats,
@@ -2139,25 +2084,21 @@ fn fetch_pairs(
                     "record ({file_id}, {seq}) missing from locator index"
                 ))
             })?;
-            if use_cache {
-                match cache.get((file_id, seq), current_mtime) {
-                    CacheLookup::Hit(t) => {
-                        group.hit_tables.push(t);
-                        stats.cache_hits += 1;
-                        continue;
-                    }
-                    CacheLookup::Stale => {
-                        stats.stale_drops += 1;
-                        log.push(EtlOp::StaleDrop {
-                            uri: group.display_uri.clone(),
-                        });
-                    }
-                    CacheLookup::Miss => {
-                        stats.cache_misses += 1;
-                    }
+            match cache.get((file_id, seq), current_mtime) {
+                CacheLookup::Hit(t) => {
+                    group.hit_tables.push(t);
+                    stats.cache_hits += 1;
+                    continue;
                 }
-            } else {
-                stats.cache_misses += 1;
+                CacheLookup::Stale => {
+                    stats.stale_drops += 1;
+                    log.push(EtlOp::StaleDrop {
+                        uri: group.display_uri.clone(),
+                    });
+                }
+                CacheLookup::Miss => {
+                    stats.cache_misses += 1;
+                }
             }
             group.to_extract.push(info.locator);
         }
@@ -2167,12 +2108,7 @@ fn fetch_pairs(
 
     // Phase B: extract missing records, possibly in parallel; workers
     // admit each record to its cache shard as soon as it materializes.
-    let extracted = extract_groups_into(
-        extractor,
-        &groups,
-        threads,
-        if use_cache { Some(cache) } else { None },
-    );
+    let extracted = extract_groups_into(extractor, &groups, threads, Some(cache));
 
     // Phase C: assemble rows in pair order.
     let mut out = Table::empty(schema::data_schema());

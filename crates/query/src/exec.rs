@@ -20,11 +20,14 @@
 //!
 //! - **Filter/Project** chains are elementwise, so filtering/projecting
 //!   each morsel and concatenating equals the whole-table pass exactly.
-//! - **Aggregation** keeps per-morsel accumulators and merges them in
-//!   morsel order; groups enter the output in first-appearance order
-//!   across morsels, which is the serial scan's first-appearance order.
-//!   Integer SUM accumulates in `i128` so overflow is detected at finish
-//!   time from the true total — the same answer for any decomposition.
+//! - **Aggregation** is one path at every thread count: accumulate each
+//!   row range into a partial, merge partials in range order, finish.
+//!   Serial execution is the one-range case. Groups enter the output in
+//!   first-appearance order across ranges, which is one scan's
+//!   first-appearance order. Integer SUM accumulates in `i128` so
+//!   overflow is detected at finish time from the true total — the same
+//!   answer for any decomposition. The result recycler patches cached
+//!   aggregates with the same merge ([`merge_state_tables`]).
 //! - **Join** partitions both sides by deterministic key hash,
 //!   builds/probes per partition, and stable-sorts the matched index
 //!   pairs back into the serial probe order.
@@ -37,6 +40,7 @@ use crate::error::{QueryError, Result};
 use crate::expr::{
     eval_expr_opts, eval_predicate_mask_opts, infer_type, AggFunc, EvalOptions, Expr,
 };
+use crate::maintain::MergeSpec;
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use lazyetl_store::parallel::{try_parallel_map, WorkerPanic};
@@ -574,12 +578,47 @@ impl Accumulator {
         }
     }
 
-    /// Fold one morsel's partial state (`other`, same variant) into
-    /// `self`, in morsel order. `vectorized` selects the same float
-    /// comparison the per-morsel sweep used (total order), so the merged
-    /// MIN/MAX is bit-identical to the serial sweep; integer and string
-    /// comparisons agree between the typed and boxed paths already.
-    fn merge(&mut self, other: &Accumulator, vectorized: bool) -> Result<()> {
+    /// The accumulator a finished state-table cell came from: the inverse
+    /// of [`Accumulator::finish`] for the aggregate `spec` names. `row` is
+    /// the whole state row and `col` the cell's position in it; AVG reads
+    /// its hidden SUM/COUNT companions instead of its own cell.
+    fn from_state(spec: MergeSpec, row: &[Value], col: usize) -> Result<Accumulator> {
+        let cell = &row[col];
+        let typed = |what: &str| QueryError::Execution(format!("non-{what} SUM state {cell}"));
+        Ok(match spec {
+            MergeSpec::Count => Accumulator::Count {
+                n: cell.as_i64().unwrap_or(0),
+            },
+            MergeSpec::SumInt if cell.is_null() => Accumulator::SumInt { sum: 0, any: false },
+            MergeSpec::SumInt => Accumulator::SumInt {
+                sum: cell.as_i64().ok_or_else(|| typed("integer"))? as i128,
+                any: true,
+            },
+            MergeSpec::SumFloat if cell.is_null() => Accumulator::SumFloat {
+                sum: 0.0,
+                any: false,
+            },
+            MergeSpec::SumFloat => Accumulator::SumFloat {
+                sum: cell.as_f64().ok_or_else(|| typed("numeric"))?,
+                any: true,
+            },
+            MergeSpec::Min => Accumulator::Min {
+                best: (!cell.is_null()).then(|| cell.clone()),
+            },
+            MergeSpec::Max => Accumulator::Max {
+                best: (!cell.is_null()).then(|| cell.clone()),
+            },
+            MergeSpec::Avg { sum_col, cnt_col } => Accumulator::Avg {
+                sum: row.get(sum_col).and_then(Value::as_f64).unwrap_or(0.0),
+                n: row.get(cnt_col).and_then(Value::as_i64).unwrap_or(0),
+            },
+        })
+    }
+
+    /// Fold a later partial's state (`other`, same variant) into `self`.
+    /// MIN/MAX go through [`Accumulator::update`], whose `Value::sql_cmp`
+    /// orders floats totally, exactly like the typed sweeps.
+    fn merge(&mut self, other: &Accumulator) -> Result<()> {
         match (self, other) {
             (Accumulator::Count { n }, Accumulator::Count { n: m }) => *n += m,
             (Accumulator::SumInt { sum, any }, Accumulator::SumInt { sum: s, any: a }) => {
@@ -595,15 +634,12 @@ impl Accumulator {
                 *n += m;
             }
             (me @ Accumulator::Min { .. }, Accumulator::Min { best: Some(v) })
-            | (me @ Accumulator::Max { .. }, Accumulator::Max { best: Some(v) }) => match v {
-                Value::Float64(x) if vectorized => me.update_f64(*x),
-                _ => me.update(v)?,
-            },
+            | (me @ Accumulator::Max { .. }, Accumulator::Max { best: Some(v) }) => me.update(v)?,
             (Accumulator::Min { .. }, Accumulator::Min { best: None })
             | (Accumulator::Max { .. }, Accumulator::Max { best: None }) => {}
             _ => {
                 return Err(QueryError::Execution(
-                    "accumulator variant mismatch in parallel merge".into(),
+                    "accumulator variant mismatch in merge".into(),
                 ))
             }
         }
@@ -643,13 +679,6 @@ impl Accumulator {
     }
 }
 
-struct GroupState {
-    group_values: Vec<Value>,
-    accs: Vec<Accumulator>,
-    /// Per-aggregate seen-set for DISTINCT aggregates.
-    distinct_seen: Vec<Option<HashSet<GroupKey>>>,
-}
-
 /// One aggregate call, decomposed.
 struct AggSpec {
     func: AggFunc,
@@ -658,26 +687,28 @@ struct AggSpec {
     arg_type: Option<DataType>,
 }
 
-fn new_group_state(specs: &[AggSpec], gvals: Vec<Value>) -> GroupState {
-    GroupState {
-        group_values: gvals,
-        accs: specs
-            .iter()
-            .map(|s| Accumulator::new(s.func, s.arg_type))
-            .collect(),
-        distinct_seen: specs
-            .iter()
-            .map(|s| {
-                if s.distinct {
-                    Some(HashSet::new())
-                } else {
-                    None
-                }
-            })
-            .collect(),
-    }
+/// Group states in first-appearance order: per group, its group-by values
+/// and one accumulator per aggregate.
+struct Groups {
+    gvals: Vec<Vec<Value>>,
+    accs: Vec<Vec<Accumulator>>,
 }
 
+/// What [`accumulate`] makes of one row range: its local groups and, per
+/// DISTINCT aggregate (`None` for the others), the values each group saw
+/// first in this range, in encounter order. A DISTINCT aggregate's
+/// accumulators stay untouched until [`merge_partials`] replays those
+/// values through a seen-set that spans all ranges.
+struct Partial {
+    groups: Groups,
+    distinct_firsts: Vec<Option<Vec<Vec<Value>>>>,
+}
+
+/// Aggregation is one mechanism: [`accumulate`] each row range into a
+/// [`Partial`], [`merge_partials`] in range order, [`finish_groups`].
+/// Serial execution is the case "one range covering the input" (run
+/// inline by `try_parallel_map`), so the answer of a query — group order,
+/// float rounding, overflow — depends on `(rows, morsel_rows)` alone.
 fn execute_aggregate(
     input: &LogicalPlan,
     group: &[(Expr, String)],
@@ -730,33 +761,289 @@ fn execute_aggregate(
         .collect::<Result<_>>()?;
 
     let n_rows = table.num_rows();
-    let states: Vec<GroupState> = if ctx.parallelism > 1 && n_rows > ctx.morsel_rows {
-        aggregate_morselized(&group_cols, &arg_cols, &specs, n_rows, ctx)?
+    let ranges = if ctx.parallelism <= 1 || n_rows <= ctx.morsel_rows {
+        vec![(0, n_rows)]
     } else {
-        aggregate_serial(group, &group_cols, &arg_cols, &specs, n_rows, ctx)?
+        morsel_ranges(n_rows, ctx.morsel_rows)
     };
-
-    // Build output table: one single-pass typed constructor per column
-    // instead of a per-row `append_row` (which re-checks types cell by
-    // cell).
-    let mut fields = Vec::with_capacity(group.len() + aggregates.len());
-    for (e, name) in group {
-        fields.push(Field::nullable(name, infer_type(e, in_schema)?));
+    let parallel = ranges.len() > 1;
+    if parallel {
+        ctx.count_parallel(ranges.len());
     }
-    for (e, name) in aggregates {
+    let results = try_parallel_map(&ranges, ctx.parallelism, |&(off, len)| {
+        accumulate(
+            off..off + len,
+            &group_cols,
+            &arg_cols,
+            &specs,
+            ctx.vectorized,
+        )
+    });
+    let partials = join_morsels(results)?;
+    let merge_started = Instant::now();
+    let groups = merge_partials(partials)?;
+    if parallel {
+        ctx.count_merge(merge_started);
+    }
+
+    let mut fields = Vec::with_capacity(group.len() + aggregates.len());
+    for (e, name) in group.iter().chain(aggregates) {
         fields.push(Field::nullable(name, infer_type(e, in_schema)?));
     }
     let schema = Schema::new(fields).map_err(QueryError::Store)?;
-    let n_cols = group.len() + aggregates.len();
-    let mut col_vals: Vec<Vec<Value>> = (0..n_cols)
-        .map(|_| Vec::with_capacity(states.len()))
+    Ok(Arc::new(finish_groups(schema, &groups)?))
+}
+
+/// Give every row of `rows` the id of its local group under a single
+/// group-by column, read through the typed, allocation-free `key`; the
+/// key is boxed into a `Value` once per **new group**. NULLs form one
+/// group. Pushes the new groups' values onto `gvals` in first-appearance
+/// order.
+fn group_by_typed_key<K: Hash + Eq>(
+    rows: std::ops::Range<usize>,
+    col: &Column,
+    key: impl Fn(usize) -> K,
+    gvals: &mut Vec<Vec<Value>>,
+) -> Result<Vec<u32>> {
+    let mut gid_of: HashMap<K, u32> = HashMap::new();
+    let mut null_group: Option<u32> = None;
+    let mut group_of_row = Vec::with_capacity(rows.len());
+    for row in rows {
+        let next = gvals.len() as u32;
+        let gid = if col.is_null(row) {
+            *null_group.get_or_insert(next)
+        } else {
+            *gid_of.entry(key(row)).or_insert(next)
+        };
+        if gid == next {
+            gvals.push(vec![col.get(row).map_err(QueryError::Store)?]);
+        }
+        group_of_row.push(gid);
+    }
+    Ok(group_of_row)
+}
+
+/// Accumulate the rows of `rows` into fresh local group states, groups in
+/// first-appearance order. The keying specializations (global; one `Utf8`
+/// column hashed by `&str`; one integer-family column hashed by `i64`)
+/// only change how a row finds its group, never which group it finds; the
+/// generic path boxes a `Vec<GroupKey>` per row.
+fn accumulate(
+    rows: std::ops::Range<usize>,
+    group_cols: &[Column],
+    arg_cols: &[Option<Column>],
+    specs: &[AggSpec],
+    vectorized: bool,
+) -> Result<Partial> {
+    use lazyetl_store::ColumnData as CD;
+    let off = rows.start;
+    let mut gvals: Vec<Vec<Value>> = Vec::new();
+    let group_of_row: Vec<u32> = match group_cols {
+        // A global aggregate has its one group even over zero rows.
+        [] => {
+            gvals.push(Vec::new());
+            vec![0; rows.len()]
+        }
+        [col] => match col.data() {
+            CD::Utf8(v) => group_by_typed_key(rows.clone(), col, |r| v[r].as_str(), &mut gvals)?,
+            CD::Int64(v) | CD::Timestamp(v) => {
+                group_by_typed_key(rows.clone(), col, |r| v[r], &mut gvals)?
+            }
+            CD::Int32(v) => group_by_typed_key(rows.clone(), col, |r| v[r], &mut gvals)?,
+            _ => group_by_boxed_key(rows.clone(), group_cols, &mut gvals)?,
+        },
+        _ => group_by_boxed_key(rows.clone(), group_cols, &mut gvals)?,
+    };
+    let gid = |row: usize| group_of_row[row - off] as usize;
+
+    let mut accs: Vec<Vec<Accumulator>> = gvals
+        .iter()
+        .map(|_| {
+            specs
+                .iter()
+                .map(|s| Accumulator::new(s.func, s.arg_type))
+                .collect()
+        })
         .collect();
-    for state in &states {
-        for (j, v) in state.group_values.iter().enumerate() {
+    let mut distinct_firsts: Vec<Option<Vec<Vec<Value>>>> = specs
+        .iter()
+        .map(|s| s.distinct.then(|| vec![Vec::new(); gvals.len()]))
+        .collect();
+
+    // One aggregate (= one argument column) at a time. With vectorized
+    // execution on, a typed column sweeps through the matching `update_*`
+    // method: the accumulator reads raw slice values and never boxes a
+    // `Value` per row. DISTINCT aggregates, `Bool` columns and the
+    // non-vectorized ablation take the boxed loop.
+    for (i, arg_col) in arg_cols.iter().enumerate() {
+        if let Some(firsts) = &mut distinct_firsts[i] {
+            // Deduplicate within the range; `merge_partials` deduplicates
+            // across ranges and does the updates.
+            let mut seen: Vec<HashSet<GroupKey>> = vec![HashSet::new(); gvals.len()];
+            for row in rows.clone() {
+                let v = match arg_col {
+                    None => Value::Int64(1),
+                    Some(col) => col.get(row).map_err(QueryError::Store)?,
+                };
+                if !v.is_null() && seen[gid(row)].insert(v.group_key()) {
+                    firsts[gid(row)].push(v);
+                }
+            }
+            continue;
+        }
+        let Some(col) = arg_col else {
+            // COUNT(*): every row counts one.
+            for row in rows.clone() {
+                accs[gid(row)][i].update(&Value::Int64(1))?;
+            }
+            continue;
+        };
+        let live = rows.clone().filter(|&row| !col.is_null(row));
+        match col.data() {
+            CD::Int64(data) | CD::Timestamp(data) if vectorized => {
+                let dt = col.data_type();
+                for row in live {
+                    accs[gid(row)][i].update_i64(data[row], dt)?;
+                }
+            }
+            CD::Int32(data) if vectorized => {
+                for row in live {
+                    accs[gid(row)][i].update_i64(data[row] as i64, DataType::Int32)?;
+                }
+            }
+            CD::Float64(data) if vectorized => {
+                for row in live {
+                    accs[gid(row)][i].update_f64(data[row]);
+                }
+            }
+            CD::Utf8(data) if vectorized => {
+                for row in live {
+                    accs[gid(row)][i].update_str(&data[row]);
+                }
+            }
+            _ => {
+                for row in rows.clone() {
+                    let v = col.get(row).map_err(QueryError::Store)?;
+                    accs[gid(row)][i].update(&v)?;
+                }
+            }
+        }
+    }
+    Ok(Partial {
+        groups: Groups { gvals, accs },
+        distinct_firsts,
+    })
+}
+
+/// [`group_by_typed_key`] for any number and type of group-by columns: the
+/// key is the row's boxed `Vec<GroupKey>`.
+fn group_by_boxed_key(
+    rows: std::ops::Range<usize>,
+    group_cols: &[Column],
+    gvals: &mut Vec<Vec<Value>>,
+) -> Result<Vec<u32>> {
+    let mut gid_of: HashMap<Vec<GroupKey>, u32> = HashMap::new();
+    let mut group_of_row = Vec::with_capacity(rows.len());
+    for row in rows {
+        let vals: Vec<Value> = group_cols
+            .iter()
+            .map(|col| col.get(row))
+            .collect::<lazyetl_store::Result<_>>()
+            .map_err(QueryError::Store)?;
+        let next = gvals.len() as u32;
+        let gid = *gid_of
+            .entry(vals.iter().map(Value::group_key).collect())
+            .or_insert(next);
+        if gid == next {
+            gvals.push(vals);
+        }
+        group_of_row.push(gid);
+    }
+    Ok(group_of_row)
+}
+
+/// Merge partials **in order** into global group states.
+///
+/// The answer depends on how the input was cut into partials only where
+/// it must:
+/// - a group enters the output with the first partial that has it, and
+///   partials list groups in first-appearance order, so global group order
+///   is the first-appearance order of one left-to-right scan;
+/// - COUNT/MIN/MAX/SUM-over-int merges are associative over ordered
+///   partials ([`Accumulator::merge`]); float SUM/AVG add partial sums in
+///   partial order, so the cut alone determines rounding;
+/// - DISTINCT aggregates replay each partial's first-seen values through
+///   one seen-set per group, which is the update order of a single scan.
+fn merge_partials(partials: Vec<Partial>) -> Result<Groups> {
+    let group_key =
+        |gvals: &[Value]| -> Vec<GroupKey> { gvals.iter().map(Value::group_key).collect() };
+    let mut out = Groups {
+        gvals: Vec::new(),
+        accs: Vec::new(),
+    };
+    // Where each of `out`'s groups is. A partial's own groups are distinct,
+    // so the first partial is adopted without lookups, and indexed only
+    // once a second partial arrives to look its groups up: merging one
+    // partial costs no hashing at all.
+    let mut gid_of: HashMap<Vec<GroupKey>, usize> = HashMap::new();
+    // Keyed by (global group, aggregate); DISTINCT aggregates only.
+    let mut seen: HashMap<(usize, usize), HashSet<GroupKey>> = HashMap::new();
+    for (n, p) in partials.into_iter().enumerate() {
+        if n == 1 {
+            gid_of = (0..out.gvals.len())
+                .map(|g| (group_key(&out.gvals[g]), g))
+                .collect();
+        }
+        let distinct = &p.distinct_firsts;
+        let local_groups = p.groups.gvals.into_iter().zip(p.groups.accs);
+        for (li, (gvals, accs)) in local_groups.enumerate() {
+            let g = match (n > 0).then(|| gid_of.entry(group_key(&gvals))) {
+                Some(Entry::Occupied(e)) => {
+                    let g = *e.get();
+                    for (i, (mine, theirs)) in out.accs[g].iter_mut().zip(&accs).enumerate() {
+                        if distinct[i].is_none() {
+                            mine.merge(theirs)?;
+                        }
+                    }
+                    g
+                }
+                new => {
+                    if let Some(Entry::Vacant(e)) = new {
+                        e.insert(out.gvals.len());
+                    }
+                    out.gvals.push(gvals);
+                    out.accs.push(accs);
+                    out.gvals.len() - 1
+                }
+            };
+            for (i, firsts) in distinct.iter().enumerate() {
+                let Some(firsts) = firsts else { continue };
+                let seen = seen.entry((g, i)).or_default();
+                for v in &firsts[li] {
+                    if seen.insert(v.group_key()) {
+                        out.accs[g][i].update(v)?;
+                    }
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Finish every accumulator and build the output table: one single-pass
+/// typed constructor per column, group columns first.
+fn finish_groups(schema: Schema, groups: &Groups) -> Result<Table> {
+    let mut col_vals: Vec<Vec<Value>> = schema
+        .fields
+        .iter()
+        .map(|_| Vec::with_capacity(groups.gvals.len()))
+        .collect();
+    for (gvals, accs) in groups.gvals.iter().zip(&groups.accs) {
+        for (j, v) in gvals.iter().enumerate() {
             col_vals[j].push(v.clone());
         }
-        for (j, a) in state.accs.iter().enumerate() {
-            col_vals[group.len() + j].push(a.finish()?);
+        for (j, a) in accs.iter().enumerate() {
+            col_vals[gvals.len() + j].push(a.finish()?);
         }
     }
     let columns: Vec<Column> = schema
@@ -766,409 +1053,53 @@ fn execute_aggregate(
         .map(|(f, vals)| Column::from_values(f.data_type, vals))
         .collect::<lazyetl_store::Result<_>>()
         .map_err(QueryError::Store)?;
-    Ok(Arc::new(
-        Table::new(schema, columns).map_err(QueryError::Store)?,
-    ))
+    Table::new(schema, columns).map_err(QueryError::Store)
 }
 
-/// The serial reference aggregation: one left-to-right pass over the
-/// whole input. Specialized keying paths avoid per-row Value boxing for
-/// the common single-column cases.
-fn aggregate_serial(
-    group: &[(Expr, String)],
-    group_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    specs: &[AggSpec],
-    n_rows: usize,
-    ctx: &ExecContext<'_>,
-) -> Result<Vec<GroupState>> {
-    let mut states: Vec<GroupState> = Vec::new();
-    let mut group_of_row: Vec<u32> = Vec::with_capacity(n_rows);
-    let new_state = |gvals: Vec<Value>| new_group_state(specs, gvals);
-
-    enum Keying<'a> {
-        Global,
-        Utf8(&'a [String], &'a Column),
-        Int(Vec<i64>, &'a Column),
-        Generic,
-    }
-    let keying = if group.is_empty() {
-        Keying::Global
-    } else if group.len() == 1 {
-        use lazyetl_store::ColumnData as CD;
-        match group_cols[0].data() {
-            CD::Utf8(v) => Keying::Utf8(v, &group_cols[0]),
-            CD::Int64(v) | CD::Timestamp(v) => Keying::Int(v.clone(), &group_cols[0]),
-            CD::Int32(v) => Keying::Int(v.iter().map(|&x| x as i64).collect(), &group_cols[0]),
-            _ => Keying::Generic,
-        }
-    } else {
-        Keying::Generic
-    };
-    match keying {
-        Keying::Global => {
-            states.push(new_state(Vec::new()));
-            group_of_row.resize(n_rows, 0);
-        }
-        Keying::Utf8(strings, col) => {
-            let mut map: HashMap<&str, u32> = HashMap::new();
-            let mut null_group: Option<u32> = None;
-            #[allow(clippy::needless_range_loop)] // strings and col indexed in lockstep
-            for row in 0..n_rows {
-                let gid = if col.is_null(row) {
-                    *null_group.get_or_insert_with(|| {
-                        states.push(new_state(vec![Value::Null]));
-                        (states.len() - 1) as u32
-                    })
-                } else {
-                    match map.entry(strings[row].as_str()) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            states.push(new_state(vec![Value::Utf8(strings[row].clone())]));
-                            *e.insert((states.len() - 1) as u32)
-                        }
-                    }
-                };
-                group_of_row.push(gid);
-            }
-        }
-        Keying::Int(ints, col) => {
-            let dt = col.data_type();
-            let mut map: HashMap<i64, u32> = HashMap::new();
-            let mut null_group: Option<u32> = None;
-            #[allow(clippy::needless_range_loop)] // ints and col indexed in lockstep
-            for row in 0..n_rows {
-                let gid = if col.is_null(row) {
-                    *null_group.get_or_insert_with(|| {
-                        states.push(new_state(vec![Value::Null]));
-                        (states.len() - 1) as u32
-                    })
-                } else {
-                    match map.entry(ints[row]) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let v = match dt {
-                                DataType::Timestamp => Value::Timestamp(ints[row]),
-                                DataType::Int32 => Value::Int32(ints[row] as i32),
-                                _ => Value::Int64(ints[row]),
-                            };
-                            states.push(new_state(vec![v]));
-                            *e.insert((states.len() - 1) as u32)
-                        }
-                    }
-                };
-                group_of_row.push(gid);
-            }
-        }
-        Keying::Generic => {
-            let mut map: HashMap<Vec<GroupKey>, u32> = HashMap::new();
-            for row in 0..n_rows {
-                let mut key = Vec::with_capacity(group.len());
-                let mut gvals = Vec::with_capacity(group.len());
-                for col in group_cols {
-                    let v = col.get(row).map_err(QueryError::Store)?;
-                    key.push(v.group_key());
-                    gvals.push(v);
-                }
-                let gid = match map.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        states.push(new_state(gvals));
-                        *e.insert((states.len() - 1) as u32)
-                    }
-                };
-                group_of_row.push(gid);
-            }
-        }
-    }
-
-    // Accumulate, one aggregate (= one argument column) at a time. With
-    // vectorized execution on, a typed column sweeps through the matching
-    // `update_*` method — the accumulator reads raw slice values and never
-    // boxes a `Value` per row (the old path cloned every `Utf8` cell just
-    // to compare it for MIN/MAX). DISTINCT aggregates and kernel-less
-    // types keep the boxed reference loop.
-    for (i, arg_col) in arg_cols.iter().enumerate() {
-        match arg_col {
-            None => {
-                // COUNT(*): every row counts one.
-                for row in 0..n_rows {
-                    let state = &mut states[group_of_row[row] as usize];
-                    let v = Value::Int64(1);
-                    if let Some(seen) = &mut state.distinct_seen[i] {
-                        if !seen.insert(v.group_key()) {
-                            continue;
-                        }
-                    }
-                    state.accs[i].update(&v)?;
-                }
-            }
-            Some(col) => {
-                use lazyetl_store::ColumnData as CD;
-                let typed = !specs[i].distinct && ctx.vectorized;
-                match col.data() {
-                    CD::Int64(data) | CD::Timestamp(data) if typed => {
-                        let dt = col.data_type();
-                        for (row, &x) in data.iter().enumerate() {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            states[group_of_row[row] as usize].accs[i].update_i64(x, dt)?;
-                        }
-                    }
-                    CD::Int32(data) if typed => {
-                        for (row, &x) in data.iter().enumerate() {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            states[group_of_row[row] as usize].accs[i]
-                                .update_i64(x as i64, DataType::Int32)?;
-                        }
-                    }
-                    CD::Float64(data) if typed => {
-                        for (row, &x) in data.iter().enumerate() {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            states[group_of_row[row] as usize].accs[i].update_f64(x);
-                        }
-                    }
-                    CD::Utf8(data) if typed => {
-                        for (row, s) in data.iter().enumerate() {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            states[group_of_row[row] as usize].accs[i].update_str(s);
-                        }
-                    }
-                    _ => {
-                        // Boxed reference loop: DISTINCT bookkeeping, Bool
-                        // columns, and the non-vectorized ablation.
-                        for row in 0..n_rows {
-                            let state = &mut states[group_of_row[row] as usize];
-                            let v = col.get(row).map_err(QueryError::Store)?;
-                            if let Some(seen) = &mut state.distinct_seen[i] {
-                                if v.is_null() || !seen.insert(v.group_key()) {
-                                    continue;
-                                }
-                            }
-                            state.accs[i].update(&v)?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Global aggregate over empty input still yields one row (created
-    // above by Keying::Global even when n_rows == 0).
-    Ok(states)
-}
-
-/// Per-morsel partial aggregation state: local groups in first-appearance
-/// order, each with its group key, group values, partial accumulators,
-/// and — for DISTINCT aggregates — the values first seen in this morsel,
-/// in encounter order.
-struct MorselAgg {
-    keys: Vec<Vec<GroupKey>>,
-    gvals: Vec<Vec<Value>>,
-    accs: Vec<Vec<Accumulator>>,
-    distinct_firsts: Vec<Vec<Vec<Value>>>,
-}
-
-/// Morsel-driven aggregation: accumulate each fixed-size row range into
-/// thread-local states on the worker pool, then merge the partials **in
-/// morsel order** on the calling thread.
+/// Fold a delta's aggregate state table into the resident one — the
+/// recycler's incremental patch, done with the executor's own accumulators.
 ///
-/// Equivalence with [`aggregate_serial`]:
-/// - groups are created in first-appearance order per morsel and merged
-///   in morsel order, so global group order equals the serial scan's
-///   first-appearance order;
-/// - COUNT/MIN/MAX/SUM-over-int merges are associative over ordered
-///   partials ([`Accumulator::merge`]); float SUM/AVG merge partial sums
-///   in morsel order, so the decomposition (fixed by `morsel_rows`, not
-///   by the thread count) fully determines rounding;
-/// - DISTINCT aggregates replay each morsel's first-seen values through
-///   a global seen-set in morsel order — exactly the serial update order.
-fn aggregate_morselized(
-    group_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    specs: &[AggSpec],
-    n_rows: usize,
-    ctx: &ExecContext<'_>,
-) -> Result<Vec<GroupState>> {
-    let ranges = morsel_ranges(n_rows, ctx.morsel_rows);
-    ctx.count_parallel(ranges.len());
-    let vectorized = ctx.vectorized;
-    let results = try_parallel_map(&ranges, ctx.parallelism, |&(off, len)| {
-        accumulate_morsel(off, len, group_cols, arg_cols, specs, vectorized)
-    });
-    let morsels = join_morsels(results)?;
-
-    let merge_started = Instant::now();
-    let mut states: Vec<GroupState> = Vec::new();
-    let mut gid_of: HashMap<Vec<GroupKey>, u32> = HashMap::new();
-    for m in &morsels {
-        for (li, key) in m.keys.iter().enumerate() {
-            let gid = match gid_of.entry(key.clone()) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    states.push(new_group_state(specs, m.gvals[li].clone()));
-                    *e.insert((states.len() - 1) as u32)
-                }
-            } as usize;
-            let state = &mut states[gid];
-            for (i, spec) in specs.iter().enumerate() {
-                if spec.distinct {
-                    let seen = state.distinct_seen[i].as_mut().expect("distinct seen-set");
-                    for v in &m.distinct_firsts[li][i] {
-                        if seen.insert(v.group_key()) {
-                            state.accs[i].update(v)?;
-                        }
-                    }
-                } else {
-                    state.accs[i].merge(&m.accs[li][i], vectorized)?;
-                }
-            }
-        }
+/// Both tables are outputs of the same augmented aggregate plan
+/// ([`crate::maintain::MaintPlan::exec_plan`]): `group_cols` group columns,
+/// then one column per entry of `merges`. Each row is lifted back into the
+/// accumulators that produced it (AVG from its hidden SUM/COUNT
+/// companions), the two tables merge as two partials in old-then-delta
+/// order, and the same finish step renders the result. So the patched
+/// state is what one aggregate over `old ∪ delta` cut at that boundary
+/// yields: groups in first-appearance order, integer overflow decided on
+/// the `i128` total, AVG as `sum / n`. Any `Err` means "recompute".
+pub fn merge_state_tables(
+    old: &Table,
+    delta: &Table,
+    group_cols: usize,
+    merges: &[MergeSpec],
+) -> Result<Table> {
+    if old.schema != delta.schema || old.schema.fields.len() != group_cols + merges.len() {
+        return Err(QueryError::Execution("delta state schema mismatch".into()));
     }
-    ctx.count_merge(merge_started);
-    Ok(states)
-}
-
-/// Accumulate rows `[off, off + len)` into fresh local group states.
-/// Group values and first-appearance order match the serial keying paths
-/// (which only specialize the representation, not the semantics), and the
-/// typed accumulation sweeps mirror [`aggregate_serial`]'s dispatch so a
-/// morsel's partial state is exactly what the serial pass would have
-/// accumulated over the same rows.
-fn accumulate_morsel(
-    off: usize,
-    len: usize,
-    group_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    specs: &[AggSpec],
-    vectorized: bool,
-) -> Result<MorselAgg> {
-    let end = off + len;
-    let mut m = MorselAgg {
-        keys: Vec::new(),
-        gvals: Vec::new(),
-        accs: Vec::new(),
-        distinct_firsts: Vec::new(),
-    };
-    // Local seen-sets keep `distinct_firsts` deduplicated within the
-    // morsel; cross-morsel dedup happens at merge time.
-    let mut local_seen: Vec<Vec<HashSet<GroupKey>>> = Vec::new();
-    let mut gid_of: HashMap<Vec<GroupKey>, u32> = HashMap::new();
-    let mut group_of_row: Vec<u32> = Vec::with_capacity(len);
-    for row in off..end {
-        let mut key = Vec::with_capacity(group_cols.len());
-        let mut gvals = Vec::with_capacity(group_cols.len());
-        for col in group_cols {
-            let v = col.get(row).map_err(QueryError::Store)?;
-            key.push(v.group_key());
-            gvals.push(v);
-        }
-        let gid = match gid_of.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                m.keys.push(e.key().clone());
-                m.gvals.push(gvals);
-                m.accs.push(
-                    specs
-                        .iter()
-                        .map(|s| Accumulator::new(s.func, s.arg_type))
-                        .collect(),
-                );
-                m.distinct_firsts.push(vec![Vec::new(); specs.len()]);
-                local_seen.push(vec![HashSet::new(); specs.len()]);
-                *e.insert((m.keys.len() - 1) as u32)
-            }
+    let lift = |state: &Table| -> Result<Partial> {
+        let mut groups = Groups {
+            gvals: Vec::with_capacity(state.num_rows()),
+            accs: Vec::with_capacity(state.num_rows()),
         };
-        group_of_row.push(gid);
-    }
-
-    for (i, arg_col) in arg_cols.iter().enumerate() {
-        match arg_col {
-            None => {
-                // COUNT(*): every row counts one.
-                for &gid in &group_of_row {
-                    let g = gid as usize;
-                    let v = Value::Int64(1);
-                    if specs[i].distinct {
-                        if local_seen[g][i].insert(v.group_key()) {
-                            m.distinct_firsts[g][i].push(v);
-                        }
-                        continue;
-                    }
-                    m.accs[g][i].update(&v)?;
-                }
-            }
-            Some(col) => {
-                use lazyetl_store::ColumnData as CD;
-                let typed = !specs[i].distinct && vectorized;
-                match col.data() {
-                    CD::Int64(data) | CD::Timestamp(data) if typed => {
-                        let dt = col.data_type();
-                        for row in off..end {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            let g = group_of_row[row - off] as usize;
-                            m.accs[g][i].update_i64(data[row], dt)?;
-                        }
-                    }
-                    CD::Int32(data) if typed => {
-                        for row in off..end {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            let g = group_of_row[row - off] as usize;
-                            m.accs[g][i].update_i64(data[row] as i64, DataType::Int32)?;
-                        }
-                    }
-                    CD::Float64(data) if typed => {
-                        for row in off..end {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            let g = group_of_row[row - off] as usize;
-                            m.accs[g][i].update_f64(data[row]);
-                        }
-                    }
-                    CD::Utf8(data) if typed => {
-                        for row in off..end {
-                            if col.is_null(row) {
-                                continue;
-                            }
-                            let g = group_of_row[row - off] as usize;
-                            m.accs[g][i].update_str(&data[row]);
-                        }
-                    }
-                    _ => {
-                        // Boxed reference loop: DISTINCT bookkeeping, Bool
-                        // columns, and the non-vectorized ablation.
-                        for row in off..end {
-                            let g = group_of_row[row - off] as usize;
-                            let v = col.get(row).map_err(QueryError::Store)?;
-                            if specs[i].distinct {
-                                if v.is_null() {
-                                    continue;
-                                }
-                                if local_seen[g][i].insert(v.group_key()) {
-                                    m.distinct_firsts[g][i].push(v);
-                                }
-                                continue;
-                            }
-                            m.accs[g][i].update(&v)?;
-                        }
-                    }
-                }
-            }
+        for i in 0..state.num_rows() {
+            let mut row = state.row(i).map_err(QueryError::Store)?;
+            let accs = merges
+                .iter()
+                .enumerate()
+                .map(|(j, spec)| Accumulator::from_state(*spec, &row, group_cols + j))
+                .collect::<Result<_>>()?;
+            row.truncate(group_cols);
+            groups.gvals.push(row);
+            groups.accs.push(accs);
         }
-    }
-    Ok(m)
+        Ok(Partial {
+            groups,
+            distinct_firsts: vec![None; merges.len()],
+        })
+    };
+    let merged = merge_partials(vec![lift(old)?, lift(delta)?])?;
+    finish_groups(old.schema.clone(), &merged)
 }
 
 // ---------------------------------------------------------------------------
@@ -1896,5 +1827,72 @@ mod tests {
         );
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.row(0).unwrap()[0], Value::Utf8("HGN".into()));
+    }
+
+    #[test]
+    fn avg_merges_via_companions() {
+        // g | AVG(v) | __maint_sum | __maint_cnt   (group_cols = 1)
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int64),
+            Field::nullable("avg", DataType::Float64),
+            Field::nullable("s", DataType::Float64),
+            Field::nullable("n", DataType::Int64),
+        ])
+        .unwrap();
+        let mk = |g: i64, avg: f64, s: f64, n: i64| {
+            vec![
+                Value::Int64(g),
+                Value::Float64(avg),
+                Value::Float64(s),
+                Value::Int64(n),
+            ]
+        };
+        let mut old = Table::empty(schema.clone());
+        old.append_row(mk(1, 2.0, 6.0, 3)).unwrap();
+        let mut dstate = Table::empty(schema.clone());
+        dstate.append_row(mk(1, 6.0, 6.0, 1)).unwrap();
+        let merged = merge_state_tables(
+            &old,
+            &dstate,
+            1,
+            &[
+                MergeSpec::Avg {
+                    sum_col: 2,
+                    cnt_col: 3,
+                },
+                MergeSpec::SumFloat,
+                MergeSpec::Count,
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            merged.row(0).unwrap(),
+            vec![
+                Value::Int64(1),
+                Value::Float64(3.0),
+                Value::Float64(12.0),
+                Value::Int64(4),
+            ]
+        );
+    }
+
+    #[test]
+    fn integer_sum_overflow_falls_back() {
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int64),
+            Field::nullable("s", DataType::Int64),
+        ])
+        .unwrap();
+        let mut old = Table::empty(schema.clone());
+        old.append_row(vec![Value::Int64(1), Value::Int64(i64::MAX)])
+            .unwrap();
+        let mut dstate = Table::empty(schema.clone());
+        dstate
+            .append_row(vec![Value::Int64(1), Value::Int64(1)])
+            .unwrap();
+        let err = merge_state_tables(&old, &dstate, 1, &[MergeSpec::SumInt])
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("overflow"), "{err}");
     }
 }

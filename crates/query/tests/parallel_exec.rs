@@ -134,6 +134,12 @@ fn query_mix() -> Vec<&'static str> {
         "SELECT qual, COUNT(DISTINCT station), COUNT(DISTINCT channel) FROM files GROUP BY qual ORDER BY qual",
         "SELECT channel, MIN(station) AS lo, MAX(station) AS hi FROM files GROUP BY channel ORDER BY channel",
         "SELECT station, COUNT(*) AS n FROM files WHERE ok = TRUE GROUP BY station HAVING COUNT(*) >= 5 ORDER BY n DESC, station",
+        // Single-column keys with their own keying (NULLable Utf8, Int32,
+        // Timestamp), DISTINCT beside plain aggregates, and no ORDER BY:
+        // group order itself must be the serial first-appearance order.
+        "SELECT station, COUNT(DISTINCT channel) AS dc, COUNT(*) AS n, SUM(size) AS bytes, MIN(seen) FROM files GROUP BY station",
+        "SELECT qual, COUNT(DISTINCT station) AS ds, COUNT(drift), MAX(drift), SUM(size) FROM files GROUP BY qual",
+        "SELECT seen, COUNT(DISTINCT ok) AS dk, COUNT(*) AS n, AVG(drift) AS ad, MIN(station) FROM files GROUP BY seen",
         // Joins: string key (generic GroupKey path) with NULL keys on
         // both sides, feeding grouped aggregation.
         "SELECT s.network, COUNT(*) AS files FROM files f JOIN stations s ON f.station = s.name GROUP BY s.network ORDER BY s.network",

@@ -84,6 +84,15 @@ fn query_mix(bound: i64, fbound: f64, s: &str) -> Vec<String> {
              WHERE id > {bound} GROUP BY q"
         ),
         "SELECT flag, q, COUNT(*) FROM t GROUP BY flag, q".into(),
+        // Single-column keys with their own keying (NULLable Utf8, Int32,
+        // Timestamp), each with DISTINCT beside plain aggregates.
+        "SELECT name, COUNT(DISTINCT q) AS dq, COUNT(*) AS n, SUM(v) AS sv, MIN(t) FROM t \
+         GROUP BY name"
+            .into(),
+        "SELECT q, COUNT(DISTINCT name) AS dn, COUNT(v), MAX(v), SUM(id) FROM t GROUP BY q".into(),
+        "SELECT t, COUNT(DISTINCT flag) AS df, COUNT(*) AS n, AVG(v) AS av, MIN(name) FROM t \
+         GROUP BY t"
+            .into(),
         format!(
             "SELECT name, COUNT(*) AS n FROM t GROUP BY name \
              HAVING COUNT(*) >= 2 ORDER BY n DESC, name LIMIT 5"

@@ -179,6 +179,31 @@ fn ablated_seek_reports_linear_sweep_in_explain() {
 }
 
 #[test]
+fn plan_preview_shows_the_plan_the_query_runs() {
+    let repo = figure1_repo("preview_truth", 512);
+    let wh = Warehouse::open_lazy(&repo.root, cfg(true)).unwrap();
+    // Three explicit joins, as written `(d ⋈ r) ⋈ f`: the cost model puts
+    // the filtered `files` first, so the costed and the heuristic
+    // optimizer disagree on this one — and the preview must show the
+    // costed order, because that is what `query` executes and what keys
+    // the recycler.
+    let sql = "SELECT f.station, COUNT(*) FROM mseed.data d \
+               JOIN mseed.records r ON d.file_id = r.file_id AND d.seq_no = r.seq_no \
+               JOIN mseed.files f ON r.file_id = f.file_id \
+               WHERE f.network = 'NL' GROUP BY f.station";
+    let optimized = |stages: Vec<(String, String)>| {
+        stages
+            .into_iter()
+            .find(|(stage, _)| stage == "optimized")
+            .map(|(_, plan)| plan)
+            .expect("optimized stage")
+    };
+    let preview = optimized(wh.plan_preview(sql).unwrap());
+    let ran = optimized(wh.query(sql).unwrap().report.stages);
+    assert_eq!(preview, ran);
+}
+
+#[test]
 fn metadata_only_queries_are_costed_too() {
     let repo = figure1_repo("explain_meta", 512);
     let wh = Warehouse::open_lazy(&repo.root, cfg(true)).unwrap();

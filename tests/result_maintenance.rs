@@ -76,6 +76,51 @@ fn insert_only_refresh_patches_group_aggregate() {
 }
 
 #[test]
+fn delta_adds_a_group_and_extends_one_under_avg_min_count() {
+    let repo = figure1_repo("maint_newgroup", 512);
+    let wh = Warehouse::open_lazy(&repo.root, maint_config()).unwrap();
+    let sql = "SELECT F.station, AVG(D.sample_value), MIN(D.sample_value), COUNT(*) \
+               FROM mseed.dataview WHERE F.channel = 'BHZ' GROUP BY F.station";
+
+    let first = wh.query(sql).unwrap();
+    // One refresh, two files: HGN is already a group, ZZZ is not.
+    insert_file(&repo.root, "NL", "HGN", "BHZ", 0);
+    insert_file(&repo.root, "NL", "ZZZ", "BHZ", 1);
+    wh.refresh().unwrap();
+
+    let stats = wh.stats_snapshot();
+    assert!(stats.recycler.results_patched >= 1, "{:?}", stats.recycler);
+    assert_eq!(
+        stats.recycler.recompute_fallbacks, 0,
+        "{:?}",
+        stats.recycler
+    );
+
+    let patched = wh.query(sql).unwrap();
+    assert!(
+        patched.report.result_recycled,
+        "served from the patched entry"
+    );
+    assert_eq!(patched.table.num_rows(), first.table.num_rows() + 1);
+
+    // Samples are integers, so every float sum is exact and the patched
+    // cells must equal a from-scratch aggregate's bit for bit. Group order
+    // legitimately differs (a delta's new groups come last), so rows are
+    // aligned by station first.
+    let by_station = |t: &lazyetl::store::Table| {
+        let mut rows: Vec<_> = (0..t.num_rows()).map(|i| t.row(i).unwrap()).collect();
+        rows.sort_by_key(|r| r[0].to_string());
+        rows
+    };
+    let fresh = Warehouse::open_lazy(&repo.root, WarehouseConfig::default()).unwrap();
+    assert_eq!(
+        by_station(&patched.table),
+        by_station(&fresh.query(sql).unwrap().table),
+        "patched result ≡ recompute, cell for cell"
+    );
+}
+
+#[test]
 fn patched_count_tracks_inserted_records() {
     let repo = figure1_repo("maint_count", 512);
     let wh = Warehouse::open_lazy(&repo.root, maint_config()).unwrap();

@@ -83,8 +83,8 @@ GATES = {
     # release builds measure ~3-11x); `rows_pruned` (zonemap row only)
     # proves the zone-map short-circuit fires. Floors are deliberately
     # NOT scaled by BENCH_GATE_SCALE: a speedup is a ratio on one host.
-    # The agg_parallel sweep rows (keyed by workers) are gated by the
-    # custom block below, not by these floors.
+    # The agg_parallel sweep rows (keyed by workers), the row set and the
+    # row schema are gated by the custom block below, not by these floors.
     "e15": dict(
         key=("kernel", "workers"),
         only={},
@@ -185,6 +185,20 @@ E14_MEMCEIL_FIELDS = (
 # `results_match` still applies there).
 E15_PARALLEL_MIN_SPEEDUP = 1.3
 
+# E15's row schema: the kernel rows, the worker counts of the agg_parallel
+# sweep, and the fields each carries — a floor cannot fire on a field that
+# is not there, so presence is gated first.
+E15_KERNELS = {"filter", "project", "aggregate", "zonemap"}
+E15_KERNEL_FIELDS = (
+    "rows", "out_rows", "scalar_us", "vectorized_us", "speedup",
+    "rows_per_sec_vectorized", "results_match",
+)
+E15_SWEEP_WORKERS = [1, 2, 4]
+E15_SWEEP_FIELDS = ("workers", "elapsed_us", "parallel_speedup", "cores", "results_match")
+
+# E18's row set: exactly the two modes.
+E18_MODES = {"incremental", "recompute"}
+
 
 def load(path):
     with open(path) as f:
@@ -263,9 +277,27 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
 
     if exp == "e15":
         sweep = [r for r in current_doc["rows"] if r.get("kernel") == "agg_parallel"]
-        if not sweep:
-            failures.append("e15: agg_parallel sweep rows missing from current run")
+        kernels = {
+            r.get("kernel"): r for r in current_doc["rows"] if r.get("kernel") != "agg_parallel"
+        }
+        if set(kernels) != E15_KERNELS:
+            failures.append(f"e15: kernel rows {sorted(map(str, kernels))}, want {sorted(E15_KERNELS)}")
+        for name, row in kernels.items():
+            for field in E15_KERNEL_FIELDS if name != "zonemap" else ("results_match",):
+                if field not in row:
+                    failures.append(f"e15[{name}]: field {field} missing")
+        zonemap = kernels.get("zonemap", {})
+        if not zonemap.get("rows_pruned", 0) > 0:
+            failures.append(f"e15[zonemap]: zone-map pruning never fired: {zonemap}")
+        workers = [r.get("workers") for r in sweep]
+        if workers != E15_SWEEP_WORKERS:
+            failures.append(f"e15[agg_parallel]: worker sweep {workers}, want {E15_SWEEP_WORKERS}")
         for row in sweep:
+            for field in E15_SWEEP_FIELDS:
+                if field not in row:
+                    failures.append(
+                        f"e15[agg_parallel workers={row.get('workers')}]: field {field} missing"
+                    )
             if row.get("results_match") is not True:
                 failures.append(
                     f"e15[agg_parallel workers={row.get('workers')}]: parallel result "
@@ -352,9 +384,8 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
 
     if exp == "e18":
         by_mode = {r.get("mode"): r for r in current_doc["rows"]}
-        missing = [m for m in ("incremental", "recompute") if m not in by_mode]
-        if missing:
-            failures.append(f"e18: mode rows missing from current run: {missing}")
+        if set(by_mode) != E18_MODES:
+            failures.append(f"e18: mode rows {sorted(map(str, by_mode))}, want {sorted(E18_MODES)}")
         else:
             incr, recomp = by_mode["incremental"], by_mode["recompute"]
             for mode, row in by_mode.items():
