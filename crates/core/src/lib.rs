@@ -82,8 +82,8 @@ pub use extract::{
 pub use log::{EtlLog, EtlOp, LogEntry};
 pub use persistence::{
     load_saved_stats, load_saved_tables, load_saved_time_index, read_manifest, recover_saved_dir,
-    replay_journal, save_warehouse, save_warehouse_crashing_at, save_warehouse_v1, saved_mode,
-    stray_files, RecoveryReport, SaveReport, SavedFile, SavedManifest, CRASH_MARKER, JOURNAL_NAME,
+    replay_journal, save_warehouse, save_warehouse_crashing_at, saved_mode, stray_files,
+    RecoveryReport, SaveReport, SavedFile, SavedManifest, CRASH_MARKER, JOURNAL_NAME,
     MANIFEST_NAME,
 };
 pub use qcache::{

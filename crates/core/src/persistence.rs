@@ -43,9 +43,6 @@
 //! — never a torn state. `tests/crash_recovery.rs` proves this by
 //! enumerating every durable step via [`save_warehouse_crashing_at`] and
 //! killing the save at each one.
-//!
-//! The v1 format (plain `MANIFEST` + unfootered `.lztb` files) is still
-//! read for backward compatibility; saves always write v2.
 
 use crate::cache::PendingSegment;
 use crate::error::{EtlError, Result};
@@ -54,10 +51,10 @@ use crate::parallel::parallel_map;
 use crate::rewrite::LocatorIndex;
 use crate::schema::{DATA_TABLE, FILES_TABLE, RECORDS_TABLE};
 use crate::segment::{encode_segment, segment_info, SegmentEntry};
-use crate::warehouse::{Mode, Warehouse};
+use crate::warehouse::{mode_tables, Mode, Warehouse};
 use lazyetl_store::persist::{
-    append_footer, embedded_footer_checksum, load_table, load_table_verified, split_footer,
-    sync_parent_dir, table_to_footered_bytes, tmp_path,
+    append_footer, embedded_footer_checksum, load_table_verified, split_footer, sync_parent_dir,
+    table_to_footered_bytes, tmp_path,
 };
 use lazyetl_store::stats::{stats_from_bytes, stats_to_bytes, table_stats, ColumnStats};
 use lazyetl_store::Table;
@@ -68,7 +65,6 @@ use std::path::Path;
 pub const MANIFEST_NAME: &str = "MANIFEST";
 /// Name of the save journal inside a saved-warehouse directory.
 pub const JOURNAL_NAME: &str = "JOURNAL";
-const MANIFEST_V1: &str = "lazyetl-warehouse-v1";
 const MANIFEST_V2: &str = "lazyetl-warehouse-v2";
 /// Base name of the persisted statistics file (`stats.e<N>.lzst`).
 const STATS_BASE: &str = "stats";
@@ -118,23 +114,23 @@ pub struct SavedFile {
     pub shard: usize,
 }
 
-/// Parsed contents of a saved-warehouse manifest (v1 or v2).
+/// Parsed contents of a saved-warehouse manifest.
 #[derive(Debug, Clone)]
 pub struct SavedManifest {
-    /// Format version: 1 (legacy) or 2.
+    /// Format version (2; anything else is rejected on read).
     pub version: u16,
     /// Mode that was saved.
     pub mode: Mode,
-    /// Snapshot epoch (0 for v1).
+    /// Snapshot epoch.
     pub epoch: u64,
-    /// Cache shard count at save time (0 for v1 / eager saves).
+    /// Cache shard count at save time (0 for eager saves).
     pub shards: usize,
     /// Catalog table files in F, R\[, D\] order.
     pub tables: Vec<SavedFile>,
     /// Cache segment files.
     pub segments: Vec<SavedFile>,
-    /// Persisted column statistics (absent in v1 and pre-upgrade v2
-    /// snapshots — those open statless).
+    /// Persisted column statistics (absent in pre-upgrade snapshots —
+    /// those open statless).
     pub stats: Option<SavedFile>,
     /// Persisted ordered time-range index (absent pre-upgrade).
     pub time_index: Option<SavedFile>,
@@ -153,8 +149,7 @@ pub fn read_manifest(dir: &Path) -> Result<SavedManifest> {
         .map_err(|e| internal(format!("no warehouse manifest in {dir:?}: {e}")))?;
     let mut lines = lines_of(&text);
     let version = match lines.next() {
-        Some(MANIFEST_V1) => 1u16,
-        Some(MANIFEST_V2) => 2,
+        Some(MANIFEST_V2) => 2u16,
         other => {
             return Err(internal(format!(
                 "unsupported warehouse manifest version {other:?} in {dir:?}"
@@ -166,22 +161,6 @@ pub fn read_manifest(dir: &Path) -> Result<SavedManifest> {
         Some("mode=eager") => Mode::Eager,
         other => return Err(internal(format!("bad manifest mode line {other:?}"))),
     };
-    if version == 1 {
-        let mut tables = vec![v1_file(FILES_TABLE), v1_file(RECORDS_TABLE)];
-        if mode == Mode::Eager {
-            tables.push(v1_file(DATA_TABLE));
-        }
-        return Ok(SavedManifest {
-            version,
-            mode,
-            epoch: 0,
-            shards: 0,
-            tables,
-            segments: Vec::new(),
-            stats: None,
-            time_index: None,
-        });
-    }
     let epoch = kv_line(lines.next(), "epoch")?
         .parse::<u64>()
         .map_err(|e| internal(format!("bad manifest epoch: {e}")))?;
@@ -264,16 +243,6 @@ fn lines_of(text: &str) -> impl Iterator<Item = &str> {
     text.lines().map(str::trim).filter(|l| !l.is_empty())
 }
 
-fn v1_file(table: &str) -> SavedFile {
-    SavedFile {
-        name: format!("{table}.lztb"),
-        bytes: 0,
-        checksum: 0,
-        entries: 0,
-        shard: 0,
-    }
-}
-
 fn kv_line<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str> {
     line.and_then(|l| l.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
         .ok_or_else(|| internal(format!("manifest missing {key}= line")))
@@ -289,7 +258,7 @@ fn parse_hex(tok: Option<&str>, what: &str) -> Result<u64> {
         .ok_or_else(|| internal(format!("bad manifest field: {what}")))
 }
 
-/// Read the mode recorded in a saved-warehouse directory (v1 or v2).
+/// Read the mode recorded in a saved-warehouse directory.
 pub fn saved_mode(dir: &Path) -> Result<Mode> {
     Ok(read_manifest(dir)?.mode)
 }
@@ -297,25 +266,19 @@ pub fn saved_mode(dir: &Path) -> Result<Mode> {
 /// Load the persisted catalog tables of a saved warehouse.
 ///
 /// Returns `(files, records, data)`; `data` is present for eager saves.
-/// v2 tables are checksum-verified against both their footer and the
-/// manifest; v1 tables load with the legacy reader.
+/// Tables are checksum-verified against both their footer and the
+/// manifest.
 pub fn load_saved_tables(dir: &Path) -> Result<(Table, Table, Option<Table>)> {
     let manifest = read_manifest(dir)?;
     let mut loaded = Vec::with_capacity(manifest.tables.len());
     for f in &manifest.tables {
-        let path = dir.join(&f.name);
-        let table = if manifest.version == 1 {
-            load_table(&path)?
-        } else {
-            let (table, sum) = load_table_verified(&path)?;
-            if sum != f.checksum {
-                return Err(internal(format!(
-                    "table {} checksum {sum:#x} != manifest {:#x}",
-                    f.name, f.checksum
-                )));
-            }
-            table
-        };
+        let (table, sum) = load_table_verified(&dir.join(&f.name))?;
+        if sum != f.checksum {
+            return Err(internal(format!(
+                "table {} checksum {sum:#x} != manifest {:#x}",
+                f.name, f.checksum
+            )));
+        }
         loaded.push(table);
     }
     let mut it = loaded.into_iter();
@@ -402,21 +365,12 @@ fn epoch_of_segments_dir(name: &str) -> Option<u64> {
     name.strip_prefix("segments.e")?.parse().ok()
 }
 
-/// The single definition of save-directory debris: stray temp files,
-/// epoch-stamped files/directories not belonging to the committed epoch,
-/// and — once a v2 manifest is committed — the superseded unstamped v1
-/// tables (a v1→v2 upgrade save killed between commit and cleanup must
-/// not orphan them forever). Shared by the recovery sweep and the
-/// [`stray_files`] diagnostic so the two can never drift apart.
-fn is_stale_name(name: &str, live_epoch: Option<u64>, live_is_v2: bool) -> bool {
+/// The single definition of save-directory debris: stray temp files and
+/// epoch-stamped files/directories not belonging to the committed epoch.
+/// Shared by the recovery sweep and the [`stray_files`] diagnostic so the
+/// two can never drift apart.
+fn is_stale_name(name: &str, live_epoch: Option<u64>) -> bool {
     if name.ends_with(".tmp") {
-        return true;
-    }
-    if live_is_v2
-        && [FILES_TABLE, RECORDS_TABLE, DATA_TABLE]
-            .iter()
-            .any(|t| name == format!("{t}.lztb"))
-    {
         return true;
     }
     epoch_of_table_file(name)
@@ -458,7 +412,6 @@ pub fn recover_saved_dir(dir: &Path) -> Result<RecoveryReport> {
         return Ok(report);
     }
     let live_epoch = manifest.as_ref().map(|m| m.epoch);
-    let live_is_v2 = manifest.as_ref().is_some_and(|m| m.version == 2);
 
     // Which epoch did an interrupted save try to write?
     let mut begun: Option<u64> = None;
@@ -484,7 +437,7 @@ pub fn recover_saved_dir(dir: &Path) -> Result<RecoveryReport> {
         let entry = entry.map_err(internal)?;
         let name = entry.file_name().to_string_lossy().to_string();
         let path = entry.path();
-        if is_stale_name(&name, live_epoch, live_is_v2) {
+        if is_stale_name(&name, live_epoch) {
             let removed = if path.is_dir() {
                 std::fs::remove_dir_all(&path).is_ok()
             } else {
@@ -636,13 +589,9 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
 
     // Snapshot the catalog tables under the shared read lock, then let
     // queries flow again while everything is encoded and written.
-    let table_names: &[&str] = match mode {
-        Mode::Lazy => &[FILES_TABLE, RECORDS_TABLE],
-        Mode::Eager => &[FILES_TABLE, RECORDS_TABLE, DATA_TABLE],
-    };
     let snapshots: Vec<(String, Table)> = {
         let catalog = wh.catalog();
-        table_names
+        mode_tables(mode)
             .iter()
             .map(|name| {
                 catalog
@@ -830,9 +779,7 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
         {
             ctx.remove(&dir.join(&f.name), &mut removed)?;
         }
-        if prev.version == 2 {
-            ctx.remove(&dir.join(format!("segments.e{}", prev.epoch)), &mut removed)?;
-        }
+        ctx.remove(&dir.join(format!("segments.e{}", prev.epoch)), &mut removed)?;
     }
     ctx.step()?;
     journal.append(log, EtlOp::SaveCleanup { epoch })?;
@@ -917,56 +864,17 @@ pub fn segments_to_attach(
     (manifest.shards, segs)
 }
 
-/// Write a **v1** save (metadata tables + plain manifest) — kept only so
-/// tests can prove v2 code still opens legacy directories.
-pub fn save_warehouse_v1(wh: &Warehouse, dir: &Path) -> Result<SaveReport> {
-    std::fs::create_dir_all(dir).map_err(internal)?;
-    let mode = wh.mode();
-    let table_names: &[&str] = match mode {
-        Mode::Lazy => &[FILES_TABLE, RECORDS_TABLE],
-        Mode::Eager => &[FILES_TABLE, RECORDS_TABLE, DATA_TABLE],
-    };
-    let mut bytes = 0u64;
-    let mut tables = Vec::new();
-    let catalog = wh.catalog();
-    for name in table_names {
-        let table = catalog
-            .table(name)
-            .ok_or_else(|| internal(format!("table {name} missing")))?;
-        let path = dir.join(format!("{name}.lztb"));
-        lazyetl_store::persist::save_table(table, &path)?;
-        bytes += std::fs::metadata(&path).map_err(internal)?.len();
-        tables.push(format!("{name}.lztb"));
-    }
-    // Even the legacy manifest is written atomically now (tmp + fsync +
-    // rename): the file that names the snapshot must never be torn.
-    let manifest = format!("{MANIFEST_V1}\nmode={}\n", mode_str(mode));
-    lazyetl_store::persist::write_file_atomic(&dir.join(MANIFEST_NAME), manifest.as_bytes())?;
-    Ok(SaveReport {
-        mode,
-        bytes,
-        tables,
-        segments: Vec::new(),
-        stats_file: None,
-        index_file: None,
-        epoch: 0,
-        crash_points: 0,
-    })
-}
-
 /// Stray temp files or epoch debris present in a saved directory —
 /// diagnostics for tests asserting a directory is clean.
 pub fn stray_files(dir: &Path) -> Vec<String> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
-    let manifest = read_manifest(dir).ok();
-    let live = manifest.as_ref().map(|m| m.epoch);
-    let live_is_v2 = manifest.is_some_and(|m| m.version == 2);
+    let live = read_manifest(dir).ok().map(|m| m.epoch);
     entries
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().to_string())
-        .filter(|name| is_stale_name(name, live, live_is_v2))
+        .filter(|name| is_stale_name(name, live))
         .collect()
 }
 
@@ -1123,19 +1031,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_layout_still_parses() {
-        let (root, repo) = setup("v1compat");
+    fn v1_manifest_is_an_unsupported_version() {
+        let (root, repo) = setup("v1gone");
         let wh = Warehouse::open_lazy(&repo, cfg()).unwrap();
-        let saved = root.join("saved_v1");
-        let report = save_warehouse_v1(&wh, &saved).unwrap();
-        assert_eq!(report.epoch, 0);
-        let manifest = read_manifest(&saved).unwrap();
-        assert_eq!(manifest.version, 1);
-        assert_eq!(manifest.mode, Mode::Lazy);
-        let (files, records, data) = load_saved_tables(&saved).unwrap();
-        assert_eq!(files.num_rows(), wh.load_report().files);
-        assert_eq!(records.num_rows(), wh.load_report().records);
-        assert!(data.is_none());
+        let saved = root.join("saved");
+        save_warehouse(&wh, &saved).unwrap();
+        std::fs::write(
+            saved.join(MANIFEST_NAME),
+            "lazyetl-warehouse-v1\nmode=lazy\n",
+        )
+        .unwrap();
+        for err in [
+            read_manifest(&saved).unwrap_err(),
+            Warehouse::open_saved(&repo, &saved, cfg()).err().unwrap(),
+        ] {
+            assert!(
+                err.to_string()
+                    .contains("unsupported warehouse manifest version"),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1156,27 +1071,6 @@ mod tests {
         let err = save_warehouse(&wh, &saved).unwrap_err();
         assert!(err.to_string().contains("refusing"), "{err}");
         assert!(saved.join("files.e1.lztb").exists(), "data survived");
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn upgrade_leftover_v1_tables_are_swept() {
-        let (root, repo) = setup("v1sweep");
-        let wh = Warehouse::open_lazy(&repo, cfg()).unwrap();
-        let saved = root.join("saved");
-        save_warehouse(&wh, &saved).unwrap();
-        // Simulate a v1→v2 upgrade save killed between commit and
-        // cleanup: the committed manifest is v2, unstamped v1 tables
-        // linger.
-        std::fs::write(saved.join("files.lztb"), b"legacy leftovers").unwrap();
-        std::fs::write(saved.join("records.lztb"), b"legacy leftovers").unwrap();
-        assert_eq!(stray_files(&saved).len(), 2);
-        let report = recover_saved_dir(&saved).unwrap();
-        assert!(report.removed.contains(&"files.lztb".to_string()));
-        assert!(!saved.join("records.lztb").exists());
-        assert!(stray_files(&saved).is_empty());
-        // The committed v2 snapshot is untouched.
-        assert!(load_saved_tables(&saved).is_ok());
         std::fs::remove_dir_all(&root).ok();
     }
 

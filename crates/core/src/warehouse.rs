@@ -67,8 +67,8 @@ use lazyetl_query::{
     classify, parse_select, CostModel, LogicalPlan, MaintKind, MaintPlan, Maintainability,
 };
 use lazyetl_repo::{AccessProfile, FileEntry, FileId, LazySource, RepoError, Repository};
-use lazyetl_store::{Catalog, Table};
-use std::collections::BTreeSet;
+use lazyetl_store::{Catalog, ColumnData, Table};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -394,7 +394,74 @@ struct WarehouseState {
     index: LocatorIndex,
 }
 
+/// One change to the set of files a warehouse holds. Opening, refreshing
+/// and reopening differ only in how they compute it; all three fold it in
+/// with [`WarehouseState::stage`] then [`WarehouseState::commit`].
+#[derive(Default)]
+struct FileDelta {
+    /// Global ids of files whose rows leave F, R (and D).
+    drop: HashSet<i64>,
+    /// `(mount, entry)` of files whose rows are built from what their
+    /// source holds now. A replaced file is in both lists.
+    load: Vec<(usize, FileEntry)>,
+}
+
+/// A [`FileDelta`] with everything that can fail already done: the rows
+/// its files contribute, built but not installed.
+struct StagedDelta {
+    drop: HashSet<i64>,
+    /// Rows to append to F, R and D (`D`'s stay empty in lazy mode).
+    rows: [Table; 3],
+    log: Vec<EtlOp>,
+    samples: u64,
+    bytes_read: u64,
+    simulated_io: Duration,
+}
+
+/// What a committed fold did.
+struct Folded {
+    /// Whether any row left or entered a table. `false` means catalog,
+    /// index and cache are exactly as they were.
+    changed: bool,
+    /// Where the appended rows start in F, R and D: each table's tail is
+    /// the delta a refresh hands the result recycler.
+    tail: [usize; 3],
+    /// Record-metadata rows appended.
+    records: usize,
+    /// Samples extracted into `D` (eager mode).
+    samples: u64,
+    /// Source bytes read while staging.
+    bytes_read: u64,
+    /// Modeled access time of those reads.
+    simulated_io: Duration,
+}
+
+/// The catalog tables a warehouse of this mode holds rows in — what a
+/// fold maintains (index-aligned with [`StagedDelta::rows`] and
+/// [`Folded::tail`]) and what a save persists.
+pub(crate) fn mode_tables(mode: Mode) -> &'static [&'static str] {
+    match mode {
+        Mode::Lazy => &[FILES_TABLE, RECORDS_TABLE],
+        Mode::Eager => &[FILES_TABLE, RECORDS_TABLE, DATA_TABLE],
+    }
+}
+
 impl WarehouseState {
+    /// No files yet: the metadata schema (and an empty `D` in eager mode)
+    /// over the mounted sources.
+    fn new(mounts: Vec<Mount>, mode: Mode) -> Result<WarehouseState> {
+        let mut catalog = Catalog::new();
+        schema::install_metadata_schema(&mut catalog)?;
+        if mode == Mode::Eager {
+            catalog.create_table(DATA_TABLE, Table::empty(schema::data_schema()))?;
+        }
+        Ok(WarehouseState {
+            mounts,
+            catalog,
+            index: LocatorIndex::default(),
+        })
+    }
+
     /// Display form of a mount-local URI: bare for single-mount
     /// warehouses (compatibility), `name://uri` when federated.
     fn full_uri(&self, mount: usize, uri: &str) -> String {
@@ -405,17 +472,6 @@ impl WarehouseState {
         }
     }
 
-    /// Resolve a display URI back to its mount and entry.
-    fn resolve_uri(&self, full: &str) -> Option<(usize, &FileEntry)> {
-        if self.mounts.len() == 1 {
-            return self.mounts[0].source.by_uri(full).map(|e| (0, e));
-        }
-        let (name, rest) = full.split_once("://")?;
-        let idx = self.mounts.iter().position(|m| m.name == name)?;
-        self.mounts[idx].source.by_uri(rest).map(|e| (idx, e))
-    }
-
-    /// Total files registered across every mount.
     /// Files *attached* to the warehouse (F rows) — foreign files a
     /// source lists but the scan skipped are not counted.
     fn total_files(&self) -> usize {
@@ -424,124 +480,159 @@ impl WarehouseState {
             .map(|t| t.num_rows())
             .unwrap_or(0)
     }
-    /// Remove all rows of `file_id` from F, R (and D in eager mode).
-    fn delete_file_rows(&mut self, mode: Mode, file_id: i64) -> Result<()> {
-        let tables: &[&str] = match mode {
-            Mode::Lazy => &[FILES_TABLE, RECORDS_TABLE],
-            Mode::Eager => &[FILES_TABLE, RECORDS_TABLE, DATA_TABLE],
-        };
-        for name in tables {
-            let Some(table) = self.catalog.table_mut(name) else {
-                continue;
-            };
-            let Some(col) = table.column("file_id") else {
-                continue;
-            };
-            let mask: Vec<bool> = (0..col.len())
-                .map(|i| col.get(i).map(|v| v.as_i64() != Some(file_id)))
-                .collect::<lazyetl_store::Result<_>>()?;
-            if mask.iter().any(|&keep| !keep) {
-                *table = table.filter(&mask)?;
-            }
-        }
-        Ok(())
-    }
 
-    /// Replace one file's warehouse state from its current source
-    /// content: metadata rows always, `D` rows in eager mode, cache
-    /// entries invalidated. `uri` is the display (mount-qualified) form.
-    /// Returns (record rows, samples) reloaded. Callers must rebuild the
-    /// locator index afterwards.
-    fn reload_file(
-        &mut self,
+    /// The fallible half of a fold: read the metadata (in eager mode also
+    /// the samples) of every file in `delta.load` into fresh rows. Nothing
+    /// of `self` changes, so a failure here leaves the warehouse as it
+    /// was. Entries are read as given; the registry need not know them
+    /// yet.
+    fn stage(
+        &self,
         mode: Mode,
         extractor: &FormatRegistry,
-        cache: &RecyclingCache,
-        log: &EtlLog,
-        uri: &str,
-    ) -> Result<(usize, u64)> {
-        let (mount, entry) = self
-            .resolve_uri(uri)
-            .ok_or_else(|| EtlError::Internal(format!("sources lost {uri:?}")))?;
-        let entry = entry.clone();
-        let fid = global_file_id(mount, entry.id)?;
-        self.delete_file_rows(mode, fid)?;
-        cache.invalidate_file(fid);
-        let src = self.mounts[mount].source.as_ref();
-        if !extractor.claims(src, &entry)? {
-            // A foreign file (e.g. a CSV without the magic line) stays
-            // detached; its stale rows are already gone.
-            return Ok((0, 0));
-        }
-        let mut md = extractor.for_entry(&entry)?.scan_metadata(src, &entry)?;
-        md.file.file_id = fid;
-        md.file.uri = uri.to_string();
-        for rr in &mut md.records {
-            rr.file_id = fid;
-        }
-        {
-            let f_table = self
-                .catalog
-                .table_mut(FILES_TABLE)
-                .ok_or_else(|| EtlError::Internal("files table missing".into()))?;
-            push_file_row(f_table, &md.file)?;
-        }
-        {
-            let r_table = self
-                .catalog
-                .table_mut(RECORDS_TABLE)
-                .ok_or_else(|| EtlError::Internal("records table missing".into()))?;
-            for rr in &md.records {
-                push_record_row(r_table, rr)?;
+        delta: FileDelta,
+    ) -> Result<StagedDelta> {
+        let mut staged = StagedDelta {
+            drop: delta.drop,
+            rows: [
+                Table::empty(schema::files_schema()),
+                Table::empty(schema::records_schema()),
+                Table::empty(schema::data_schema()),
+            ],
+            log: Vec::new(),
+            samples: 0,
+            bytes_read: 0,
+            simulated_io: Duration::ZERO,
+        };
+        let [files, records, data] = &mut staged.rows;
+        for (mount, entry) in &delta.load {
+            let src = self.mounts[*mount].source.as_ref();
+            if !extractor.claims(src, entry)? {
+                // A foreign file (e.g. a CSV without the magic line)
+                // stays detached.
+                continue;
+            }
+            let format = extractor.for_entry(entry)?;
+            let access = src.access();
+            let fid = global_file_id(*mount, entry.id)?;
+            let uri = self.full_uri(*mount, &entry.uri);
+            let mut md = format.scan_metadata(src, entry)?;
+            md.file.file_id = fid;
+            md.file.uri = uri.clone();
+            push_file_row(files, &md.file)?;
+            for rr in &mut md.records {
+                rr.file_id = fid;
+                push_record_row(records, rr)?;
+            }
+            staged.bytes_read += md.bytes_read;
+            staged.simulated_io += access.cost(md.bytes_read);
+            if staged.drop.contains(&fid) {
+                staged.log.push(EtlOp::MetadataRefresh { uri: uri.clone() });
+                staged.log.push(EtlOp::StaleDrop { uri: uri.clone() });
+            } else {
+                staged.log.push(EtlOp::MetadataLoad {
+                    uri: uri.clone(),
+                    records: md.records.len(),
+                    bytes_read: md.bytes_read,
+                });
+            }
+            if mode == Mode::Eager {
+                let locators: Vec<RecordLocator> = md
+                    .records
+                    .iter()
+                    .map(|r| RecordLocator {
+                        seq_no: r.seq_no,
+                        byte_offset: r.byte_offset as u64,
+                        record_length: r.record_length as u32,
+                    })
+                    .collect();
+                let datas = format.extract_records(src, entry, &locators)?;
+                let mut samples = 0usize;
+                for rd in &datas {
+                    samples += rd.values.len();
+                    data.append_table(&rd.to_table(fid)?)?;
+                }
+                staged.samples += samples as u64;
+                staged.bytes_read += entry.size;
+                staged.simulated_io += access.cost(entry.size);
+                staged.log.push(EtlOp::Extract {
+                    uri,
+                    records: datas.len(),
+                    samples,
+                });
             }
         }
-        log.push(EtlOp::MetadataRefresh {
-            uri: uri.to_string(),
-        });
-        log.push(EtlOp::StaleDrop {
-            uri: uri.to_string(),
-        });
-        let mut samples = 0u64;
-        if mode == Mode::Eager {
-            let locators: Vec<RecordLocator> = md
-                .records
-                .iter()
-                .map(|r| RecordLocator {
-                    seq_no: r.seq_no,
-                    byte_offset: r.byte_offset as u64,
-                    record_length: r.record_length as u32,
-                })
-                .collect();
-            let src = self.mounts[mount].source.as_ref();
-            let datas = extractor
-                .for_entry(&entry)?
-                .extract_records(src, &entry, &locators)?;
-            let mut adds = Table::empty(schema::data_schema());
-            for rd in &datas {
-                samples += rd.values.len() as u64;
-                adds.append_table(&rd.to_table(fid)?)?;
-            }
-            let d_table = self
-                .catalog
-                .table_mut(DATA_TABLE)
-                .ok_or_else(|| EtlError::Internal("data table missing".into()))?;
-            d_table.append_table(&adds)?;
-            log.push(EtlOp::Extract {
-                uri: uri.to_string(),
-                records: datas.len(),
-                samples: samples as usize,
-            });
-        }
-        Ok((md.records.len(), samples))
+        Ok(staged)
     }
 
-    fn rebuild_index(&mut self) -> Result<()> {
-        self.index = LocatorIndex::build(
-            self.catalog
-                .table(RECORDS_TABLE)
-                .expect("records table present"),
-        )?;
-        Ok(())
+    /// The installing half of a fold (it reads no source; an error here
+    /// is a broken internal condition): rows of the dropped ids leave each
+    /// table in one mask pass (none when nothing is dropped), the staged
+    /// rows are appended, exactly the dropped ids are invalidated in the
+    /// record cache, and the locator index follows `R`. A staged delta
+    /// that drops and adds nothing touches nothing.
+    fn commit(
+        &mut self,
+        mode: Mode,
+        staged: StagedDelta,
+        cache: &RecyclingCache,
+        log: &EtlLog,
+    ) -> Result<Folded> {
+        let mut folded = Folded {
+            changed: false,
+            tail: [0; 3],
+            records: staged.rows[1].num_rows(),
+            samples: staged.samples,
+            bytes_read: staged.bytes_read,
+            simulated_io: staged.simulated_io,
+        };
+        for ((name, rows), tail) in mode_tables(mode)
+            .iter()
+            .zip(staged.rows)
+            .zip(&mut folded.tail)
+        {
+            let missing = || EtlError::Internal(format!("{name} table missing"));
+            let table = self.catalog.table(name).ok_or_else(missing)?;
+            let mut kept = None;
+            if !staged.drop.is_empty() {
+                let Some(ColumnData::Int64(ids)) = table.column("file_id").map(|c| c.data()) else {
+                    return Err(EtlError::Internal(format!("{name} table lacks file_id")));
+                };
+                let mask: Vec<bool> = ids.iter().map(|id| !staged.drop.contains(id)).collect();
+                if mask.contains(&false) {
+                    kept = Some(table.filter(&mask)?);
+                }
+            }
+            *tail = kept.as_ref().map_or(table.num_rows(), Table::num_rows);
+            if kept.is_none() && rows.num_rows() == 0 {
+                continue;
+            }
+            folded.changed = true;
+            let table = self.catalog.table_mut(name).ok_or_else(missing)?;
+            if let Some(kept) = kept {
+                *table = kept;
+            }
+            if table.num_rows() == 0 {
+                // Opening appends onto nothing: move, don't copy all of D.
+                *table = rows;
+            } else {
+                table.append_table(&rows)?;
+            }
+        }
+        for &fid in &staged.drop {
+            cache.invalidate_file(fid);
+        }
+        for op in staged.log {
+            log.push(op);
+        }
+        if folded.changed {
+            self.index = LocatorIndex::build(
+                self.catalog
+                    .table(RECORDS_TABLE)
+                    .expect("records table present"),
+            )?;
+        }
+        Ok(folded)
     }
 }
 
@@ -732,131 +823,68 @@ impl Warehouse {
             .open()
     }
 
+    /// Opening is the fold of "every registered file is new" onto an
+    /// empty state.
     fn open_from(mounts: Vec<Mount>, config: WarehouseConfig, mode: Mode) -> Result<Warehouse> {
         let t0 = Instant::now();
-        let mut catalog = Catalog::new();
-        schema::install_metadata_schema(&mut catalog)?;
+        let mut state = WarehouseState::new(mounts, mode)?;
+        let cache = RecyclingCache::with_shards(config.cache_budget_bytes, config.cache_shards);
         let log = EtlLog::new();
-        let extractor = FormatRegistry::default();
-        let mut state = WarehouseState {
-            mounts,
-            catalog,
-            index: LocatorIndex::default(),
-        };
-
-        // Phase 1 (both modes): every mount's metadata into F and R.
-        let mut bytes_read = 0u64;
-        let mut simulated_io = Duration::ZERO;
-        let mut n_records = 0usize;
-        {
-            let mut f_table = Table::empty(schema::files_schema());
-            let mut r_table = Table::empty(schema::records_schema());
-            for mi in 0..state.mounts.len() {
-                let src = state.mounts[mi].source.as_ref();
-                let access = src.access();
-                for entry in src.files() {
-                    if !extractor.claims(src, entry)? {
-                        continue;
-                    }
-                    let fid = global_file_id(mi, entry.id)?;
-                    let uri = state.full_uri(mi, &entry.uri);
-                    let mut md = extractor.for_entry(entry)?.scan_metadata(src, entry)?;
-                    md.file.file_id = fid;
-                    md.file.uri = uri.clone();
-                    push_file_row(&mut f_table, &md.file)?;
-                    for rr in &mut md.records {
-                        rr.file_id = fid;
-                        push_record_row(&mut r_table, rr)?;
-                    }
-                    n_records += md.records.len();
-                    bytes_read += md.bytes_read;
-                    simulated_io += access.cost(md.bytes_read);
-                    log.push(EtlOp::MetadataLoad {
-                        uri,
-                        records: md.records.len(),
-                        bytes_read: md.bytes_read,
-                    });
-                }
-            }
-            state.catalog.replace_table(FILES_TABLE, f_table)?;
-            state.catalog.replace_table(RECORDS_TABLE, r_table)?;
+        let mut delta = FileDelta::default();
+        for (mi, mount) in state.mounts.iter().enumerate() {
+            delta
+                .load
+                .extend(mount.source.files().iter().map(|e| (mi, e.clone())));
         }
-        state.rebuild_index()?;
+        let staged = state.stage(mode, &FormatRegistry::default(), delta)?;
+        let folded = state.commit(mode, staged, &cache, &log)?;
+        Ok(Warehouse::assemble(
+            mode, state, cache, log, &folded, t0, config,
+        ))
+    }
 
-        // Phase 2 (eager only): extract and load every record into D.
-        let mut samples_loaded = 0u64;
-        if mode == Mode::Eager {
-            let mut d_table = Table::empty(schema::data_schema());
-            for mi in 0..state.mounts.len() {
-                let src = state.mounts[mi].source.as_ref();
-                let access = src.access();
-                for entry in src.files() {
-                    if !extractor.claims(src, entry)? {
-                        continue;
-                    }
-                    let file_id = global_file_id(mi, entry.id)?;
-                    let locators: Vec<RecordLocator> = state
-                        .index
-                        .seqs_of_file(file_id)
-                        .iter()
-                        .map(|&s| {
-                            state
-                                .index
-                                .get(file_id, s)
-                                .expect("index consistent")
-                                .locator
-                        })
-                        .collect();
-                    let datas = extractor
-                        .for_entry(entry)?
-                        .extract_records(src, entry, &locators)?;
-                    let mut recs = 0usize;
-                    for rd in &datas {
-                        samples_loaded += rd.values.len() as u64;
-                        recs += 1;
-                        d_table.append_table(&rd.to_table(file_id)?)?;
-                    }
-                    bytes_read += entry.size;
-                    simulated_io += access.cost(entry.size);
-                    log.push(EtlOp::Extract {
-                        uri: state.full_uri(mi, &entry.uri),
-                        records: recs,
-                        samples: datas.iter().map(|d| d.values.len()).sum(),
-                    });
-                }
-            }
-            state.catalog.create_table(DATA_TABLE, d_table)?;
-        }
-
+    /// The one place a [`Warehouse`] is put together; `folded` is what
+    /// the opening fold read and `t0` when opening began.
+    fn assemble(
+        mode: Mode,
+        state: WarehouseState,
+        cache: RecyclingCache,
+        log: EtlLog,
+        folded: &Folded,
+        t0: Instant,
+        config: WarehouseConfig,
+    ) -> Warehouse {
         let load_report = LoadReport {
             mode,
             files: state.total_files(),
-            records: n_records,
-            samples_loaded,
-            bytes_read,
+            records: state.index.len(),
+            samples_loaded: state
+                .catalog
+                .table(DATA_TABLE)
+                .map_or(0, |t| t.num_rows() as u64),
+            bytes_read: folded.bytes_read,
             elapsed: t0.elapsed(),
-            simulated_io,
+            simulated_io: folded.simulated_io,
         };
-        let source_counters = state
-            .mounts
-            .iter()
-            .map(|_| SourceCounters::default())
-            .collect();
-        Ok(Warehouse {
+        Warehouse {
             mode,
-            cache: RecyclingCache::with_shards(config.cache_budget_bytes, config.cache_shards),
+            cache,
             qcache: QueryResultCache::new(config.result_cache_budget_bytes),
-            source_counters,
+            source_counters: state
+                .mounts
+                .iter()
+                .map(|_| SourceCounters::default())
+                .collect(),
             generation: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             exec_metrics: lazyetl_query::ExecMetrics::new(),
             config,
             state: RwLock::new(state),
             log,
-            extractor,
+            extractor: FormatRegistry::default(),
             load_report,
             last_rescan: Mutex::new(Instant::now()),
-        })
+        }
     }
 
     fn read_state(&self) -> RwLockReadGuard<'_, WarehouseState> {
@@ -1405,9 +1433,14 @@ impl Warehouse {
     /// when something actually changed does the fold take the state
     /// write lock: running queries finish first, queries arriving during
     /// the fold wait for the new state. Lazy mode reloads metadata of
-    /// changed/added files and invalidates their cache entries; eager
-    /// mode additionally re-extracts their data. Removed files disappear
-    /// from all tables.
+    /// changed/added files and invalidates the changed files' cache
+    /// entries; eager mode additionally re-extracts their data. Removed
+    /// files disappear from all tables.
+    ///
+    /// A refresh that fails (a changed file that does not parse, a source
+    /// that cannot be read) changes nothing — registry, catalog, index,
+    /// cache, generation and recycler stay as they were — so the next
+    /// refresh finds and retries the same delta.
     pub fn refresh(&self) -> Result<RefreshSummary> {
         let t0 = Instant::now();
         {
@@ -1427,98 +1460,60 @@ impl Warehouse {
                 });
             }
         }
-        // Something changed: escalate to the write lock. `rescan()` below
-        // recomputes authoritatively, so a concurrent refresh that beat us
-        // to the fold is harmless — our rescan then reports empty.
+        // Something changed: escalate to the write lock, held across the
+        // scan and the commit of its report. The scan recomputes
+        // authoritatively, so a concurrent refresh that beat us to the
+        // fold is harmless — our scan then reports empty.
         let mut state = self.state.write().expect("warehouse state poisoned");
         let mut summary = RefreshSummary::default();
-        let mut removed_fids: Vec<i64> = Vec::new();
-        let mut to_reload: Vec<String> = Vec::new();
+        let mut delta = FileDelta::default();
         let mut added_fids: Vec<i64> = Vec::new();
-        let multi = state.mounts.len() > 1;
-        for mi in 0..state.mounts.len() {
-            // Capture the pre-rescan id mapping so removed files can be
-            // purged after the source forgets them.
-            let mut prev_ids: std::collections::HashMap<String, i64> =
-                std::collections::HashMap::new();
-            for e in state.mounts[mi].source.files() {
-                prev_ids.insert(e.uri.clone(), global_file_id(mi, e.id)?);
-            }
-            let change = state.mounts[mi].source.rescan()?;
-            if change.is_empty() {
-                continue;
-            }
+        let mut changes = Vec::with_capacity(state.mounts.len());
+        for (mi, mount) in state.mounts.iter().enumerate() {
+            let change = mount.source.scan_changes()?;
             summary.added += change.added.len();
             summary.modified += change.modified.len();
             summary.removed += change.removed.len();
-            for uri in &change.removed {
-                if let Some(&fid) = prev_ids.get(uri) {
-                    removed_fids.push(fid);
-                }
+            for e in change.removed.iter().chain(&change.modified) {
+                delta.drop.insert(global_file_id(mi, e.id)?);
             }
-            // Added files got fresh ids during the rescan; capture them so
-            // the recycler's delta pass can isolate exactly the new rows.
-            if !change.added.is_empty() {
-                let post: std::collections::HashMap<&str, FileId> = state.mounts[mi]
-                    .source
-                    .files()
-                    .iter()
-                    .map(|e| (e.uri.as_str(), e.id))
-                    .collect();
-                for uri in &change.added {
-                    if let Some(&id) = post.get(uri.as_str()) {
-                        added_fids.push(global_file_id(mi, id)?);
-                    }
-                }
+            for e in &change.added {
+                added_fids.push(global_file_id(mi, e.id)?);
             }
-            let name = &state.mounts[mi].name;
-            for uri in change.modified.iter().chain(&change.added) {
-                to_reload.push(if multi {
-                    format!("{name}://{uri}")
-                } else {
-                    uri.clone()
-                });
+            for e in change.modified.iter().chain(&change.added) {
+                delta.load.push((mi, e.clone()));
             }
+            changes.push(change);
         }
         *self.last_rescan.lock().expect("last_rescan poisoned") = Instant::now();
         if summary.is_noop() {
             summary.elapsed = t0.elapsed();
             return Ok(summary);
         }
+        // A delta is insert-only when nothing was modified or removed.
+        let insert_only = delta.drop.is_empty();
+        // Everything that can fail happens before anything changes: a
+        // refresh that fails here is a no-op, and the next one retries it.
+        let staged = state.stage(self.mode, &self.extractor, delta)?;
+        for (mount, change) in state.mounts.iter_mut().zip(&changes) {
+            mount.source.commit(change);
+        }
         // Recycled results were computed against the pre-change catalog.
         let prev_generation = self.generation.fetch_add(1, Ordering::AcqRel);
-        let new_generation = prev_generation + 1;
-
-        // Purge removed files.
-        for fid in removed_fids {
-            state.delete_file_rows(self.mode, fid)?;
-            self.cache.invalidate_file(fid);
-        }
-
-        // Reload metadata (and, eagerly, data) of changed and added files.
-        for uri in &to_reload {
-            let (records, samples) =
-                state.reload_file(self.mode, &self.extractor, &self.cache, &self.log, uri)?;
-            summary.records_reloaded += records;
-            summary.samples_reloaded += samples;
-        }
-
-        // Rebuild the locator index from the fresh R table.
-        state.rebuild_index()?;
+        let folded = state.commit(self.mode, staged, &self.cache, &self.log)?;
+        summary.records_reloaded = folded.records;
+        summary.samples_reloaded = folded.samples;
 
         // Fold the delta into the result recycler: entries the change
         // provably misses are kept, maintainable ones are patched from
         // the delta rows, the rest fall back to recompute-on-next-query.
-        // A delta is insert-only when nothing was modified or removed
-        // (and every added file's id was captured above).
-        let insert_only =
-            summary.modified == 0 && summary.removed == 0 && added_fids.len() == summary.added;
         self.apply_result_delta(
             &state,
             prev_generation,
-            new_generation,
+            prev_generation + 1,
             insert_only,
             &added_fids,
+            &folded,
         );
         summary.elapsed = t0.elapsed();
         Ok(summary)
@@ -1526,7 +1521,8 @@ impl Warehouse {
 
     /// Build the refresh's table-level deltas and fold them into the
     /// result recycler (scoped keeps + incremental patches). Called under
-    /// the state write lock, after the catalog and index are rebuilt.
+    /// the state write lock, after the fold committed; an insert-only
+    /// delta's rows are the tails `folded` points at.
     fn apply_result_delta(
         &self,
         state: &WarehouseState,
@@ -1534,6 +1530,7 @@ impl Warehouse {
         generation: u64,
         insert_only: bool,
         added_fids: &[i64],
+        folded: &Folded,
     ) {
         if !self.config.recycle_query_results || self.qcache.is_empty() {
             return;
@@ -1549,9 +1546,8 @@ impl Warehouse {
         // Row-level deltas exist only for insert-only refreshes; other
         // shapes still benefit from scoped invalidation.
         let (f_delta, r_delta, interval) = if insert_only {
-            let fid_set: std::collections::HashSet<i64> = added_fids.iter().copied().collect();
-            let f = filter_by_fid(state.catalog.table(FILES_TABLE), &fid_set);
-            let r = filter_by_fid(state.catalog.table(RECORDS_TABLE), &fid_set);
+            let f = table_tail(&state.catalog, FILES_TABLE, folded.tail[0]);
+            let r = table_tail(&state.catalog, RECORDS_TABLE, folded.tail[1]);
             let interval = r.as_ref().map_or((None, None), record_time_coverage);
             (f, r, interval)
         } else {
@@ -1585,7 +1581,7 @@ impl Warehouse {
                 _ => false,
             });
             if needs_data && d_delta.is_none() && !d_failed {
-                d_delta = self.extract_data_delta(state, added_fids);
+                d_delta = self.extract_data_delta(state, added_fids, folded.tail[2]);
                 d_failed = d_delta.is_none();
             }
             if needs_data && d_failed {
@@ -1636,15 +1632,18 @@ impl Warehouse {
         }
     }
 
-    /// Materialize the delta's `D` rows: eager mode filters the resident
-    /// data table; lazy mode extracts the added files' records through
-    /// the regular fetch pipeline (cache-admitted, source-accounted).
-    fn extract_data_delta(&self, state: &WarehouseState, added_fids: &[i64]) -> Option<Arc<Table>> {
+    /// Materialize the delta's `D` rows: eager mode takes the resident
+    /// data table's tail; lazy mode extracts the added files' records
+    /// through the regular fetch pipeline (cache-admitted,
+    /// source-accounted).
+    fn extract_data_delta(
+        &self,
+        state: &WarehouseState,
+        added_fids: &[i64],
+        d_tail: usize,
+    ) -> Option<Arc<Table>> {
         match self.mode {
-            Mode::Eager => {
-                let fid_set: std::collections::HashSet<i64> = added_fids.iter().copied().collect();
-                filter_by_fid(state.catalog.table(DATA_TABLE), &fid_set)
-            }
+            Mode::Eager => table_tail(&state.catalog, DATA_TABLE, d_tail),
             Mode::Lazy => {
                 let mut pairs: Vec<(i64, i64)> = Vec::new();
                 for &fid in added_fids {
@@ -1678,14 +1677,15 @@ impl Warehouse {
     /// reopening after a crash lands on either the pre-save or the
     /// post-save state — never a torn one.
     ///
-    /// The repository may have drifted since the save; every file is
-    /// reconciled by URI — unchanged files keep their persisted rows,
-    /// changed or renumbered files are reloaded, vanished files are
-    /// purged, and new files are scanned fresh. For lazy v2 saves the
-    /// persisted record-cache segments are then attached for lazy
-    /// rehydration: each shard's segment is read on first touch, and only
-    /// entries of files that survived reconciliation unchanged are
-    /// admitted — drift invalidates exactly the affected records.
+    /// The repository may have drifted since the save; the difference
+    /// between the saved `F` table and the sources is folded in like a
+    /// refresh — unchanged files keep their persisted rows, changed or
+    /// renumbered files are reloaded, vanished files are purged, and new
+    /// files are scanned fresh; an empty difference reads nothing. For
+    /// lazy saves the persisted record-cache segments are then attached
+    /// for lazy rehydration: each shard's segment is read on first touch,
+    /// and only entries of files that survived reconciliation unchanged
+    /// are admitted — drift invalidates exactly the affected records.
     pub fn open_saved(
         root: impl AsRef<Path>,
         saved_dir: impl AsRef<Path>,
@@ -1709,31 +1709,19 @@ impl Warehouse {
         let manifest = crate::persistence::read_manifest(saved_dir)?;
         let mode = manifest.mode;
         let (files, records, data) = crate::persistence::load_saved_tables(saved_dir)?;
-        let mut catalog = Catalog::new();
-        schema::install_metadata_schema(&mut catalog)?;
-        catalog.replace_table(FILES_TABLE, files)?;
-        catalog.replace_table(RECORDS_TABLE, records)?;
+        let mut state = WarehouseState::new(mounts, mode)?;
+        state.catalog.replace_table(FILES_TABLE, files)?;
+        state.catalog.replace_table(RECORDS_TABLE, records)?;
         if let Some(d) = data {
-            catalog.create_table(DATA_TABLE, d)?;
+            state.catalog.replace_table(DATA_TABLE, d)?;
         }
         let cache = RecyclingCache::with_shards(config.cache_budget_bytes, config.cache_shards);
         let log = EtlLog::new();
-        let extractor = FormatRegistry::default();
-        let mut state = WarehouseState {
-            mounts,
-            catalog,
-            index: LocatorIndex::default(),
-        };
 
-        // Reconcile persisted rows against the live repository by URI.
-        #[derive(Clone)]
-        struct SavedRow {
-            file_id: i64,
-            mtime: i64,
-            size: i64,
-        }
-        let mut saved: std::collections::HashMap<String, SavedRow> =
-            std::collections::HashMap::new();
+        // Reopening is the refresh against the saved F table: a saved row
+        // that no live file matches in URI, id, mtime and size is dropped,
+        // a live file that no saved row matches is loaded.
+        let mut saved: HashMap<String, (i64, i64, i64)> = HashMap::new();
         {
             let f_table = state
                 .catalog
@@ -1741,107 +1729,85 @@ impl Warehouse {
                 .expect("files table installed");
             let need = |name: &str| {
                 f_table
-                    .schema
-                    .index_of(name)
+                    .column(name)
                     .ok_or_else(|| EtlError::Internal(format!("files table lacks {name}")))
             };
-            let (c_uri, c_id, c_mtime, c_size) = (
+            let (uri, id, mtime, size) = (
                 need("uri")?,
                 need("file_id")?,
                 need("mtime")?,
                 need("size")?,
             );
             for row in 0..f_table.num_rows() {
-                let uri = f_table.columns[c_uri]
-                    .get(row)?
-                    .as_str()
-                    .unwrap_or_default()
-                    .to_string();
                 saved.insert(
-                    uri,
-                    SavedRow {
-                        file_id: f_table.columns[c_id].get(row)?.as_i64().unwrap_or(-1),
-                        mtime: f_table.columns[c_mtime].get(row)?.as_i64().unwrap_or(0),
-                        size: f_table.columns[c_size].get(row)?.as_i64().unwrap_or(-1),
-                    },
+                    uri.get(row)?.as_str().unwrap_or_default().to_string(),
+                    (
+                        id.get(row)?.as_i64().unwrap_or(-1),
+                        mtime.get(row)?.as_i64().unwrap_or(0),
+                        size.get(row)?.as_i64().unwrap_or(-1),
+                    ),
                 );
             }
         }
-        let mut entries: Vec<(String, i64, i64, i64)> = Vec::new();
-        for mi in 0..state.mounts.len() {
-            for e in state.mounts[mi].source.files() {
-                entries.push((
-                    state.full_uri(mi, &e.uri),
-                    global_file_id(mi, e.id)?,
-                    e.mtime.micros(),
-                    e.size as i64,
-                ));
-            }
-        }
-        let mut reloaded = 0usize;
-        // file_id → current mtime of files whose saved rows survived
+        let mut delta = FileDelta::default();
+        // file_id → current mtime of files whose saved rows survive
         // unchanged; the only entries cache segments may rehydrate.
-        let mut valid: std::collections::HashMap<i64, lazyetl_mseed::Timestamp> =
-            std::collections::HashMap::new();
-        for (uri, id, mtime, size) in &entries {
-            let fresh = match saved.remove(uri) {
-                Some(s) => s.file_id != *id || s.mtime != *mtime || s.size != *size,
-                None => true, // new file since the save
-            };
-            if fresh {
-                state.reload_file(mode, &extractor, &cache, &log, uri)?;
-                reloaded += 1;
-            } else {
-                valid.insert(*id, lazyetl_mseed::Timestamp(*mtime));
+        let mut valid: HashMap<i64, lazyetl_mseed::Timestamp> = HashMap::new();
+        let mut live_files = 0usize;
+        for (mi, mount) in state.mounts.iter().enumerate() {
+            for e in mount.source.files() {
+                live_files += 1;
+                let fid = global_file_id(mi, e.id)?;
+                let was = saved.remove(&state.full_uri(mi, &e.uri));
+                if was == Some((fid, e.mtime.micros(), e.size as i64)) {
+                    valid.insert(fid, e.mtime);
+                } else {
+                    delta.drop.extend(was.map(|row| row.0));
+                    delta.load.push((mi, e.clone()));
+                }
             }
         }
         // Anything left in `saved` vanished from the repository.
-        let mut vanished = 0usize;
-        for (_, row) in saved {
-            state.delete_file_rows(mode, row.file_id)?;
-            vanished += 1;
-        }
+        delta.drop.extend(saved.into_values().map(|row| row.0));
+        let reloaded = delta.load.len();
+        let staged = state.stage(mode, &FormatRegistry::default(), delta)?;
+        let folded = state.commit(mode, staged, &cache, &log)?;
 
-        // Rebuild the locator index, and seed the planner from the
-        // snapshot's stats/index sections — but only when reconciliation
-        // found **zero** drift: a reloaded or vanished file means the
-        // persisted statistics describe rows that no longer exist, so a
-        // drifted reopen deliberately opens statless (zone maps recompute
-        // on demand, the time index re-sorts) rather than plan on stale
-        // numbers. Damaged or pre-upgrade sections degrade the same way;
-        // neither ever fails the open.
-        let drifted = reloaded > 0 || vanished > 0;
-        let planner_seed;
-        if drifted {
-            state.rebuild_index()?;
-            planner_seed = "skipped (repository drifted)";
+        // Seed the planner from the snapshot's stats/index sections — but
+        // only when the fold changed **nothing**: a reloaded or vanished
+        // file means the persisted statistics describe rows that no longer
+        // exist, so a drifted reopen deliberately opens statless (zone
+        // maps recompute on demand, the time index re-sorts) rather than
+        // plan on stale numbers. Damaged or pre-upgrade sections degrade
+        // the same way; neither ever fails the open.
+        let planner_seed = if folded.changed {
+            "skipped (repository drifted)"
         } else {
             let persisted_index =
                 crate::persistence::load_saved_time_index(saved_dir, &manifest).unwrap_or(None);
-            let idx = {
-                let records = state
+            state.index = LocatorIndex::build_seeded(
+                state
                     .catalog
                     .table(RECORDS_TABLE)
-                    .expect("records table present");
-                LocatorIndex::build_seeded(records, persisted_index.as_ref())?
-            };
-            state.index = idx;
+                    .expect("records table present"),
+                persisted_index.as_ref(),
+            )?;
             let mut stats_seeded = false;
             if let Ok(Some(stats)) = crate::persistence::load_saved_stats(saved_dir, &manifest) {
                 for (name, cols) in stats {
                     stats_seeded |= state.catalog.seed_zone_map(&name, cols);
                 }
             }
-            planner_seed = match (stats_seeded, persisted_index.is_some()) {
+            match (stats_seeded, persisted_index.is_some()) {
                 (true, true) => "stats + time index",
                 (true, false) => "stats only",
                 (false, true) => "time index only",
                 (false, false) => "none persisted (statless)",
-            };
-        }
+            }
+        };
 
-        // Attach persisted cache segments for lazy rehydration (v2 lazy
-        // saves only; v1 directories and eager saves have none).
+        // Attach persisted cache segments for lazy rehydration (eager
+        // saves have none).
         let mut segments_attached = 0usize;
         if mode == Mode::Lazy && !manifest.segments.is_empty() {
             let (saved_shards, segs) =
@@ -1859,52 +1825,18 @@ impl Warehouse {
         if let Some(epoch) = recovery.rolled_back {
             log.push(EtlOp::RecoveryRollback { epoch });
         }
-        let load_report = LoadReport {
-            mode,
-            files: state.total_files(),
-            records: state.index.len(),
-            samples_loaded: match mode {
-                Mode::Lazy => 0,
-                Mode::Eager => state
-                    .catalog
-                    .table(DATA_TABLE)
-                    .map(|t| t.num_rows() as u64)
-                    .unwrap_or(0),
-            },
-            bytes_read: 0,
-            elapsed: t0.elapsed(),
-            simulated_io: Duration::ZERO,
-        };
         log.push(EtlOp::PlanRewrite {
             stage: "bootstrap".into(),
             detail: format!(
-                "reopened from saved state (epoch {}); {reloaded} of {} files \
+                "reopened from saved state (epoch {}); {reloaded} of {live_files} files \
                  reconciled; {segments_attached} cache segments attached; \
                  planner seed: {planner_seed}",
                 manifest.epoch,
-                entries.len()
             ),
         });
-        let source_counters = state
-            .mounts
-            .iter()
-            .map(|_| SourceCounters::default())
-            .collect();
-        Ok(Warehouse {
-            mode,
-            cache,
-            qcache: QueryResultCache::new(config.result_cache_budget_bytes),
-            source_counters,
-            generation: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            exec_metrics: lazyetl_query::ExecMetrics::new(),
-            config,
-            state: RwLock::new(state),
-            log,
-            extractor,
-            load_report,
-            last_rescan: Mutex::new(Instant::now()),
-        })
+        Ok(Warehouse::assemble(
+            mode, state, cache, log, &folded, t0, config,
+        ))
     }
 }
 
@@ -1979,38 +1911,14 @@ fn render_explain(
     out
 }
 
-/// Materialize `D` rows for (file, record) pairs in three phases:
-///
-/// * **triage** (sequential) — per file, look each record up in the cache,
-///   collecting hits and the locators still needing extraction;
-/// * **extract + admit** (parallel up to `threads`, see
-///   [`crate::parallel`]) — decode the missing records file by file, each
-///   worker admitting its records straight into the lock-striped cache;
-/// * **assemble** (sequential) — per file in pair order: cached rows
-///   first, then fresh rows in byte-offset order.
-///
-/// The assembled table is byte-identical for every thread count. Each
-/// file's reads go through its own mounted source; extraction work is
-/// costed under that source's access profile and tallied into its
-/// [`SourceCounters`].
-#[allow(clippy::too_many_arguments)]
-/// Rows of `table` whose `file_id` is in `fids` (`None` when the table or
-/// its `file_id` column is missing).
-fn filter_by_fid(
-    table: Option<&Table>,
-    fids: &std::collections::HashSet<i64>,
-) -> Option<Arc<Table>> {
-    let table = table?;
-    let col = table.column("file_id")?;
-    let mask: Vec<bool> = (0..table.num_rows())
-        .map(|i| {
-            col.get(i)
-                .ok()
-                .and_then(|v| v.as_i64())
-                .is_some_and(|fid| fids.contains(&fid))
-        })
-        .collect();
-    table.filter(&mask).ok().map(Arc::new)
+/// The rows of `name` from row `from` on (`None` when the table is
+/// missing): what the last fold appended.
+fn table_tail(catalog: &Catalog, name: &str, from: usize) -> Option<Arc<Table>> {
+    let table = catalog.table(name)?;
+    table
+        .slice(from, table.num_rows().checked_sub(from)?)
+        .ok()
+        .map(Arc::new)
 }
 
 /// `(min start_time, max end_time)` over an R-delta's rows — the record
@@ -2031,6 +1939,20 @@ fn record_time_coverage(table: &Arc<Table>) -> (Option<i64>, Option<i64>) {
     (lo, hi)
 }
 
+/// Materialize `D` rows for (file, record) pairs in three phases:
+///
+/// * **triage** (sequential) — per file, look each record up in the cache,
+///   collecting hits and the locators still needing extraction;
+/// * **extract + admit** (parallel up to `threads`, see
+///   [`crate::parallel`]) — decode the missing records file by file, each
+///   worker admitting its records straight into the lock-striped cache;
+/// * **assemble** (sequential) — per file in pair order: cached rows
+///   first, then fresh rows in byte-offset order.
+///
+/// The assembled table is byte-identical for every thread count. Each
+/// file's reads go through its own mounted source; extraction work is
+/// costed under that source's access profile and tallied into its
+/// [`SourceCounters`].
 #[allow(clippy::too_many_arguments)]
 fn fetch_pairs(
     state: &WarehouseState,

@@ -55,26 +55,11 @@ use std::time::Instant;
 /// enough that a 100k-row extraction still fans out across a few cores.
 pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
-/// Serves external tables when the executor reaches an [`LogicalPlan::ExternalScan`]
-/// that no runtime rewrite replaced.
-///
-/// The lazy warehouse implements this with a *full* extraction — the
-/// paper's §3.1 worst case ("the required subset … is the entire
-/// repository") — because the lazy rewriter normally intercepts the scan
-/// first and injects only the needed subset.
-pub trait ExternalTableProvider: Sync {
-    /// Materialize the entire external table.
-    fn full_scan(&self, name: &str) -> Result<Arc<Table>>;
-}
-
-/// Execution context: the catalog, an optional external-table provider,
-/// and the execution-mode knobs (vectorization, zone-map pruning,
-/// counters).
+/// Execution context: the catalog and the execution-mode knobs
+/// (vectorization, zone-map pruning, counters).
 pub struct ExecContext<'a> {
     /// Catalog with resident tables.
     pub catalog: &'a Catalog,
-    /// Provider for external scans (lazy ETL), if any.
-    pub external: Option<&'a dyn ExternalTableProvider>,
     /// Cumulative counters to update while executing (shared across
     /// queries by the warehouse). `None` executes uncounted.
     pub metrics: Option<&'a ExecMetrics>,
@@ -97,12 +82,11 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// Context over a catalog with no external tables; vectorized
-    /// execution and zone-map pruning are on, counters off.
+    /// Context over a catalog; vectorized execution and zone-map pruning
+    /// are on, counters off.
     pub fn new(catalog: &'a Catalog) -> ExecContext<'a> {
         ExecContext {
             catalog,
-            external: None,
             metrics: None,
             vectorized: true,
             zone_map_pruning: true,
@@ -195,17 +179,9 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Arc<Table>> 
             ctx.count_scan(t.num_rows());
             Ok(t)
         }
-        LogicalPlan::ExternalScan { name, .. } => match ctx.external {
-            Some(p) => {
-                let t = p.full_scan(name)?;
-                ctx.count_scan(t.num_rows());
-                Ok(t)
-            }
-            None => Err(QueryError::Execution(format!(
-                "external table {name:?} reached the executor without a provider \
-                 (lazy rewriter not engaged)"
-            ))),
-        },
+        LogicalPlan::ExternalScan { name, .. } => Err(QueryError::Execution(format!(
+            "external table {name:?} reached the executor (lazy rewriter not engaged)"
+        ))),
         LogicalPlan::InlineData { table, .. } => {
             ctx.count_scan(table.num_rows());
             Ok(table.clone())

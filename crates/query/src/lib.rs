@@ -48,7 +48,7 @@ pub mod time;
 pub use ast::{SelectItem, SelectStmt, Statement};
 pub use cost::{CostModel, TableCost};
 pub use error::{QueryError, Result};
-pub use exec::{execute, ExecContext, ExternalTableProvider};
+pub use exec::{execute, ExecContext};
 pub use expr::{AggFunc, BinaryOp, Expr, UnaryOp};
 pub use maintain::{classify, MaintKind, MaintPlan, Maintainability, MergeSpec};
 pub use metrics::{ExecCounters, ExecMetrics};

@@ -62,8 +62,8 @@ impl LazySource for CsvSource {
         self.inner.scan_changes()
     }
 
-    fn rescan(&mut self) -> Result<ChangeSet, RepoError> {
-        self.inner.rescan()
+    fn commit(&mut self, change: &ChangeSet) {
+        self.inner.commit(change)
     }
 
     fn access(&self) -> AccessProfile {

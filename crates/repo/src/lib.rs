@@ -25,7 +25,7 @@ pub use remote::RemoteSource;
 pub use source::{read_file_range, LazySource, SourceIoStats};
 
 use lazyetl_mseed::Timestamp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -59,15 +59,18 @@ pub struct FileEntry {
     pub mtime: Timestamp,
 }
 
-/// Difference between two repository scans.
+/// Difference between a source's registry and what the source holds now,
+/// as whole entries: a consumer folds it in without looking anything up.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChangeSet {
-    /// URIs present now but not before.
-    pub added: Vec<String>,
-    /// URIs whose size or mtime changed.
-    pub modified: Vec<String>,
-    /// URIs that disappeared.
-    pub removed: Vec<String>,
+    /// Files present now but not before, carrying the id the registry
+    /// assigns them when the report is committed.
+    pub added: Vec<FileEntry>,
+    /// Files whose size or mtime changed: the registered id with the new
+    /// size and mtime.
+    pub modified: Vec<FileEntry>,
+    /// Entries the registry forgets: files that disappeared.
+    pub removed: Vec<FileEntry>,
 }
 
 impl ChangeSet {
@@ -201,27 +204,40 @@ pub struct Repository {
     pub access: AccessProfile,
 }
 
-fn mtime_of(path: &Path) -> std::io::Result<Timestamp> {
-    let md = std::fs::metadata(path)?;
-    let st = md.modified()?;
-    let micros = match st.duration_since(std::time::UNIX_EPOCH) {
+fn mtime_of(md: &std::fs::Metadata) -> std::io::Result<Timestamp> {
+    let micros = match md.modified()?.duration_since(std::time::UNIX_EPOCH) {
         Ok(d) => d.as_micros() as i64,
         Err(e) => -(e.duration().as_micros() as i64),
     };
     Ok(Timestamp(micros))
 }
 
-fn walk(dir: &Path, extensions: &[String], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Collect every file under `dir` with a registered extension, each with
+/// the one `stat` a scan pays for it. Directories are told from files by
+/// the `DirEntry`'s own type; only a symlink is stat-ed through to learn
+/// what it points at.
+fn walk(
+    dir: &Path,
+    extensions: &[String],
+    out: &mut Vec<(PathBuf, std::fs::Metadata)>,
+) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
-        if path.is_dir() {
+        let kind = entry.file_type()?;
+        let is_dir = if kind.is_symlink() {
+            path.is_dir()
+        } else {
+            kind.is_dir()
+        };
+        if is_dir {
             walk(&path, extensions, out)?;
         } else if path
             .extension()
             .is_some_and(|e| extensions.iter().any(|x| e.eq_ignore_ascii_case(x)))
         {
-            out.push(path);
+            let md = std::fs::metadata(&path)?;
+            out.push((path, md));
         }
     }
     Ok(())
@@ -293,106 +309,94 @@ impl Repository {
         let e = self
             .by_uri(uri)
             .ok_or_else(|| RepoError::UnknownUri(uri.to_string()))?;
-        Ok(mtime_of(&e.path)?)
+        Ok(mtime_of(&std::fs::metadata(&e.path)?)?)
     }
 
-    /// Walk the root and map URI -> path for every file currently on disk.
-    fn walk_uris(&self) -> Result<BTreeMap<String, PathBuf>, RepoError> {
+    /// Compare the directory tree with the registry **without mutating
+    /// it**: one walk, one `stat` per file, one size/mtime comparison.
+    /// Added files are reported in URI order with the ids
+    /// [`Self::commit`] will register them under.
+    ///
+    /// Lets read-mostly callers (the warehouse's per-query auto-refresh)
+    /// detect the no-change common case under a shared lock and only
+    /// escalate to an exclusive commit when something actually changed.
+    pub fn scan_changes(&self) -> Result<ChangeSet, RepoError> {
         let mut paths = Vec::new();
         walk(&self.root, &self.extensions, &mut paths)?;
-        let mut found: BTreeMap<String, PathBuf> = BTreeMap::new();
-        for p in paths {
-            let rel = p
+        let mut found: BTreeMap<String, (PathBuf, std::fs::Metadata)> = BTreeMap::new();
+        for (path, md) in paths {
+            let uri = path
                 .strip_prefix(&self.root)
                 .expect("walk yields paths under root")
                 .components()
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            found.insert(rel, p);
+            found.insert(uri, (path, md));
         }
-        Ok(found)
-    }
-
-    /// Compute what a [`Self::rescan`] would report **without mutating the
-    /// registry**: the same walk and size/mtime comparison, read-only.
-    ///
-    /// Lets read-mostly callers (the warehouse's per-query auto-refresh)
-    /// detect the no-change common case under a shared lock and only
-    /// escalate to an exclusive rescan when something actually changed.
-    pub fn scan_changes(&self) -> Result<ChangeSet, RepoError> {
-        let found = self.walk_uris()?;
         let mut change = ChangeSet::default();
-        for (uri, path) in &found {
-            let size = std::fs::metadata(path)?.len();
-            let mtime = mtime_of(path)?;
-            match self.by_uri.get(uri) {
-                Some(&idx) => {
-                    let old = &self.entries[idx];
-                    if old.size != size || old.mtime != mtime {
-                        change.modified.push(uri.clone());
-                    }
-                }
-                None => change.added.push(uri.clone()),
+        change.removed.extend(
+            self.entries
+                .iter()
+                .filter(|e| !found.contains_key(&e.uri))
+                .cloned(),
+        );
+        for (uri, (path, md)) in found {
+            let (size, mtime) = (md.len(), mtime_of(&md)?);
+            let known = self.by_uri.get(&uri).map(|&idx| &self.entries[idx]);
+            if known.is_some_and(|old| old.size == size && old.mtime == mtime) {
+                continue;
             }
-        }
-        for uri in self.by_uri.keys() {
-            if !found.contains_key(uri) {
-                change.removed.push(uri.clone());
-            }
+            let (id, list) = match known {
+                Some(old) => (old.id, &mut change.modified),
+                None => (
+                    FileId(self.next_id + change.added.len() as u32),
+                    &mut change.added,
+                ),
+            };
+            list.push(FileEntry {
+                id,
+                uri,
+                path,
+                size,
+                mtime,
+            });
         }
         Ok(change)
     }
 
-    /// Rescan the directory tree, updating the registry and returning what
-    /// changed. New files get fresh ids; unchanged URIs keep theirs.
-    pub fn rescan(&mut self) -> Result<ChangeSet, RepoError> {
-        let found = self.walk_uris()?;
-        let mut change = ChangeSet::default();
-        let mut new_entries: Vec<FileEntry> = Vec::with_capacity(found.len());
-        for (uri, path) in &found {
-            let size = std::fs::metadata(path)?.len();
-            let mtime = mtime_of(path)?;
-            match self.by_uri.get(uri) {
-                Some(&idx) => {
-                    let old = &self.entries[idx];
-                    if old.size != size || old.mtime != mtime {
-                        change.modified.push(uri.clone());
-                    }
-                    new_entries.push(FileEntry {
-                        id: old.id,
-                        uri: uri.clone(),
-                        path: path.clone(),
-                        size,
-                        mtime,
-                    });
-                }
-                None => {
-                    change.added.push(uri.clone());
-                    let id = FileId(self.next_id);
-                    self.next_id += 1;
-                    new_entries.push(FileEntry {
-                        id,
-                        uri: uri.clone(),
-                        path: path.clone(),
-                        size,
-                        mtime,
-                    });
-                }
-            }
+    /// Install a report of [`Self::scan_changes`] into the registry.
+    /// Only valid on the registry state the report was scanned from: the
+    /// added entries' ids were assigned against it.
+    pub fn commit(&mut self, change: &ChangeSet) {
+        for e in &change.modified {
+            let idx = *self
+                .by_uri
+                .get(&e.uri)
+                .expect("report was scanned from this registry state");
+            self.entries[idx] = e.clone();
         }
-        for uri in self.by_uri.keys() {
-            if !found.contains_key(uri) {
-                change.removed.push(uri.clone());
-            }
+        if change.added.is_empty() && change.removed.is_empty() {
+            return;
         }
-        self.entries = new_entries;
+        let gone: HashSet<FileId> = change.removed.iter().map(|e| e.id).collect();
+        self.entries.retain(|e| !gone.contains(&e.id));
+        self.entries.extend(change.added.iter().cloned());
+        self.entries.sort_by(|a, b| a.uri.cmp(&b.uri));
         self.by_uri = self
             .entries
             .iter()
             .enumerate()
             .map(|(i, e)| (e.uri.clone(), i))
             .collect();
+        self.next_id += change.added.len() as u32;
+    }
+
+    /// Rescan the directory tree, updating the registry and returning what
+    /// changed. New files get fresh ids; unchanged URIs keep theirs.
+    pub fn rescan(&mut self) -> Result<ChangeSet, RepoError> {
+        let change = self.scan_changes()?;
+        self.commit(&change);
         Ok(change)
     }
 }
@@ -451,7 +455,9 @@ mod tests {
         std::fs::write(&new_path, b"not-yet-real").unwrap();
 
         let change = repo.rescan().unwrap();
-        assert_eq!(change.modified, vec![first_uri.clone()]);
+        assert_eq!(change.modified.len(), 1);
+        assert_eq!(change.modified[0].uri, first_uri);
+        assert_eq!(change.modified[0].id, first_id);
         assert_eq!(change.added.len(), 1);
         assert!(change.removed.is_empty());
         assert_eq!(repo.by_uri(&first_uri).unwrap().id, first_id, "id stable");
@@ -482,18 +488,39 @@ mod tests {
         std::fs::create_dir_all(new_path.parent().unwrap()).unwrap();
         std::fs::write(&new_path, b"not-yet-real").unwrap();
 
-        let n_before = repo.len();
+        // …and remove a third.
+        let gone = repo.files()[1].clone();
+        std::fs::remove_file(&gone.path).unwrap();
+
+        let before = repo.files().to_vec();
         let preview = repo.scan_changes().unwrap();
-        assert_eq!(preview.modified, vec![first_uri]);
+        assert_eq!(preview.modified.len(), 1);
+        assert_eq!(preview.modified[0].uri, first_uri);
+        assert_eq!(
+            preview.modified[0].id, before[0].id,
+            "modified keeps its id"
+        );
+        assert!(preview.modified[0].size > before[0].size);
         assert_eq!(preview.added.len(), 1);
-        assert!(preview.removed.is_empty());
-        // The registry was not touched…
-        assert_eq!(repo.len(), n_before);
-        // …and a subsequent rescan reports the identical changeset.
+        assert!(
+            before.iter().all(|e| e.id != preview.added[0].id),
+            "added carries a fresh id"
+        );
+        assert_eq!(preview.removed, vec![gone]);
+        // The registry was not touched, so a second preview is identical…
+        assert_eq!(repo.files(), &before[..]);
+        assert_eq!(repo.scan_changes().unwrap(), preview);
+        // …and a subsequent rescan reports the same changeset, ids
+        // included, and registers exactly those entries.
         let applied = repo.rescan().unwrap();
-        assert_eq!(applied.modified, preview.modified);
-        assert_eq!(applied.added, preview.added);
-        // Once applied, the preview is clean again.
+        assert_eq!(applied, preview);
+        for e in preview.added.iter().chain(&preview.modified) {
+            assert_eq!(repo.by_id(e.id), Some(e));
+            assert_eq!(repo.by_uri(&e.uri), Some(e));
+        }
+        assert!(repo.by_id(preview.removed[0].id).is_none());
+        assert_eq!(repo.len(), before.len());
+        // Once applied, the preview is empty.
         assert!(repo.scan_changes().unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,8 +8,9 @@
 //! * **enumerate** — a stable registry of [`FileEntry`]s with ids, sizes
 //!   and modification times ([`LazySource::files`] and friends);
 //! * **detect change** — a read-only probe ([`LazySource::scan_changes`])
-//!   and an authoritative rescan ([`LazySource::rescan`]), the signals
-//!   lazy refresh keys on;
+//!   whose report ([`ChangeSet`], whole entries) a separate
+//!   [`LazySource::commit`] installs, so a consumer can do its own
+//!   fallible work between the two;
 //! * **fetch on first touch** — a byte-range fetch
 //!   ([`LazySource::fetch_range`]), HTTP-range-shaped so remote backends
 //!   map onto it directly; sources that are really local directories
@@ -97,14 +98,23 @@ pub trait LazySource: Send + Sync + std::fmt::Debug {
     /// rescan).
     fn current_mtime(&self, uri: &str) -> Result<Timestamp, RepoError>;
 
-    /// Compute what a [`Self::rescan`] would report **without mutating
-    /// the registry** — the read-only probe lazy refresh runs under a
-    /// shared lock.
+    /// Compare the source with the registry **without mutating it** —
+    /// the read-only probe lazy refresh runs under a shared lock. Added
+    /// entries carry the ids [`Self::commit`] will register them under.
     fn scan_changes(&self) -> Result<ChangeSet, RepoError>;
+
+    /// Install a report of [`Self::scan_changes`] into the registry. Only
+    /// valid on the registry state the report was scanned from (callers
+    /// hold their exclusive lock across both).
+    fn commit(&mut self, change: &ChangeSet);
 
     /// Rescan the source, updating the registry and returning what
     /// changed. New files get fresh ids; unchanged URIs keep theirs.
-    fn rescan(&mut self) -> Result<ChangeSet, RepoError>;
+    fn rescan(&mut self) -> Result<ChangeSet, RepoError> {
+        let change = self.scan_changes()?;
+        self.commit(&change);
+        Ok(change)
+    }
 
     /// The access-cost model reads against this source are accounted
     /// under.
@@ -159,8 +169,8 @@ impl LazySource for Repository {
         Repository::scan_changes(self)
     }
 
-    fn rescan(&mut self) -> Result<ChangeSet, RepoError> {
-        Repository::rescan(self)
+    fn commit(&mut self, change: &ChangeSet) {
+        Repository::commit(self, change)
     }
 
     fn access(&self) -> AccessProfile {

@@ -7,6 +7,7 @@ mod common;
 use common::{figure1_repo, FIGURE1_Q2};
 use lazyetl::core::warehouse::{Warehouse, WarehouseConfig};
 use lazyetl::mseed::gen::{generate_repository, GeneratorConfig};
+use lazyetl::repo::{updates, Repository};
 use std::path::PathBuf;
 
 fn no_refresh() -> WarehouseConfig {
@@ -133,7 +134,10 @@ fn corrupt_file_appearing_later_fails_refresh_but_not_warehouse() {
     // Removing the offender lets refresh succeed again.
     std::fs::remove_file(repo.root.join("XX.BAD.mseed")).unwrap();
     let summary = wh.refresh().unwrap();
-    assert!(summary.is_noop() || summary.removed <= 1);
+    assert!(
+        summary.is_noop(),
+        "the registry never learned of the bad file"
+    );
     assert_eq!(
         wh.query("SELECT COUNT(*) FROM mseed.files")
             .unwrap()
@@ -142,6 +146,61 @@ fn corrupt_file_appearing_later_fails_refresh_but_not_warehouse() {
         1
     );
     let _ = files_before;
+}
+
+#[test]
+fn failed_refresh_is_a_noop_and_the_next_one_retries_it() {
+    let repo = figure1_repo("refresh_atomic", 512);
+    let wh = Warehouse::open_lazy(&repo.root, no_refresh()).unwrap();
+    let mut handle = Repository::open(&repo.root).unwrap();
+    let first = handle.files()[0].uri.clone();
+    let count_first = format!("SELECT COUNT(*) FROM mseed.dataview WHERE F.uri = '{first}'");
+    let records_first = format!(
+        "SELECT COUNT(*) FROM mseed.records JOIN mseed.files ON R.file_id = F.file_id \
+         WHERE F.uri = '{first}'"
+    );
+    let before = wh.query(&count_first).unwrap().table;
+    let records_before = wh.query(&records_first).unwrap().table;
+    let q2_before = wh.query(FIGURE1_Q2).unwrap().table;
+    let generation = wh.generation();
+    let stats = wh.stats_snapshot();
+
+    // One delta holds a good change and a bad one: records appended to
+    // the first file, and a garbage newcomer beside it.
+    updates::append_records(&mut handle, &first, 20, 7).unwrap();
+    let bad = repo.root.join("ZZ.BAD.mseed");
+    std::fs::write(&bad, vec![0xAAu8; 2048]).unwrap();
+    assert!(wh.refresh().is_err(), "the garbage file fails the refresh");
+
+    // Nothing moved: same generation, same catalog, and the modified
+    // file's records are all still reachable through the locator index.
+    assert_eq!(wh.generation(), generation);
+    let after = wh.stats_snapshot();
+    assert_eq!((after.files, after.records), (stats.files, stats.records));
+    assert_eq!(wh.query(&records_first).unwrap().table, records_before);
+    assert_eq!(wh.query(FIGURE1_Q2).unwrap().table, q2_before);
+    // (The appended file's old records still decode — an append leaves
+    // them where they were — so the sample count is the old one too.)
+    assert_eq!(wh.query(&count_first).unwrap().table, before);
+
+    // With the offender gone the same delta is retried, not forgotten.
+    std::fs::remove_file(&bad).unwrap();
+    let summary = wh.refresh().unwrap();
+    assert_eq!(
+        (summary.added, summary.modified, summary.removed),
+        (0, 1, 0)
+    );
+    assert!(summary.records_reloaded > 0);
+    assert_eq!(wh.generation(), generation + 1);
+    let grown = wh.query(&records_first).unwrap().table;
+    assert!(
+        grown.row(0).unwrap()[0].as_i64() > records_before.row(0).unwrap()[0].as_i64(),
+        "the first file's record count grows"
+    );
+    assert!(
+        wh.query(&count_first).unwrap().table.row(0).unwrap()[0].as_i64()
+            > before.row(0).unwrap()[0].as_i64()
+    );
 }
 
 #[test]

@@ -5,9 +5,7 @@
 mod common;
 
 use common::{figure1_repo, FIGURE1_Q2};
-use lazyetl::core::{
-    read_manifest, replay_journal, save_warehouse, save_warehouse_v1, stray_files, Mode,
-};
+use lazyetl::core::{read_manifest, replay_journal, save_warehouse, stray_files, Mode};
 use lazyetl::repo::{updates, Repository};
 use lazyetl::{EtlOp, Warehouse, WarehouseConfig};
 
@@ -208,29 +206,38 @@ fn reopen_restores_warm_cache() {
 }
 
 #[test]
-fn v1_save_still_opens_cold() {
-    let repo = figure1_repo("saved_v1", 4096);
-    let saved = repo.root.join("_saved_v1");
-    let expected = {
-        let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
-        let out = wh.query(FIGURE1_Q2).unwrap();
-        save_warehouse_v1(&wh, &saved).unwrap();
-        out.table
-    };
-    assert_eq!(read_manifest(&saved).unwrap().version, 1);
-    let re = Warehouse::open_saved(&repo.root, &saved, cfg()).unwrap();
-    assert_eq!(re.mode(), Mode::Lazy);
-    assert_eq!(
-        re.load_report().bytes_read,
-        0,
-        "metadata reused from v1 save"
-    );
-    let out = re.query(FIGURE1_Q2).unwrap();
-    assert_eq!(out.table, expected);
-    assert!(
-        out.report.records_extracted > 0,
-        "v1 saves carry no cache segments, so the first query re-extracts"
-    );
+fn undrifted_reopen_reads_nothing() {
+    for eager in [false, true] {
+        let repo = figure1_repo(&format!("saved_quiet_{eager}"), 4096);
+        let saved = repo.root.join("_saved");
+        let wh = if eager {
+            Warehouse::open_eager(&repo.root, cfg()).unwrap()
+        } else {
+            Warehouse::open_lazy(&repo.root, cfg()).unwrap()
+        };
+        assert!(wh.load_report().bytes_read > 0);
+        save_warehouse(&wh, &saved).unwrap();
+        let re = Warehouse::open_saved(&repo.root, &saved, cfg()).unwrap();
+        assert_eq!(re.load_report().bytes_read, 0);
+        assert_eq!(re.load_report().simulated_io, std::time::Duration::ZERO);
+        assert_eq!(re.load_report().records, wh.load_report().records);
+        assert_eq!(
+            re.etl_log().count_matching(|op| matches!(
+                op,
+                lazyetl::EtlOp::MetadataLoad { .. }
+                    | lazyetl::EtlOp::MetadataRefresh { .. }
+                    | lazyetl::EtlOp::Extract { .. }
+            )),
+            0,
+            "an empty difference touches nothing"
+        );
+        assert!(
+            re.etl_log_render()
+                .contains("planner seed: stats + time index"),
+            "the fast path seeds the planner: {}",
+            re.etl_log_render()
+        );
+    }
 }
 
 #[test]

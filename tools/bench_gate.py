@@ -99,15 +99,17 @@ GATES = {
     # same pruning) — gated exactly; `warm_files_extracted == 0` is the
     # zero-re-extraction acceptance bar per mount. The `_query` row's
     # `union_matches` is the correctness bar (federated ≡ eager union);
-    # its timings get the usual loose cross-machine ceilings. The
-    # remote-specific checks (fetches actually happened, WAN time
-    # modeled) live in the custom block below.
+    # its timings get the usual loose cross-machine ceilings. The row
+    # set, the row schema, the per-mount kinds and the remote-specific
+    # checks (fetches actually happened, WAN time modeled) live in the
+    # custom block below.
     # E17 gates the cost-based planner and the ordered time index. The
     # per-config counters are fully deterministic (same generated
     # repository, same pruning decisions) — gated exactly; the seek-vs-
-    # sweep comparison (strictly fewer entries examined) and the
-    # estimation accounting (costed configs estimate every plan, the
-    # heuristic ablation none) live in the custom block below. Timings
+    # sweep comparison (strictly fewer entries examined), the row set and
+    # schema, and the estimation accounting (costed configs estimate
+    # plans, the heuristic ablation none) live in the custom block below.
+    # Timings
     # get the usual loose cross-machine ceiling.
     "e17": dict(
         key=("config",),
@@ -195,6 +197,27 @@ E15_KERNEL_FIELDS = (
 )
 E15_SWEEP_WORKERS = [1, 2, 4]
 E15_SWEEP_FIELDS = ("workers", "elapsed_us", "parallel_speedup", "cores", "results_match")
+
+# E16's row set and schema: one row per mount (with its backend kind)
+# plus the `_query` summary row.
+E16_MOUNT_KINDS = {"archive": "local", "surveys": "csv", "orfeus": "remote"}
+E16_MOUNT_FIELDS = (
+    "kind", "files", "files_extracted", "records_extracted", "samples_extracted",
+    "bytes_read", "simulated_io_us", "fetch_requests", "fetched_bytes",
+    "warm_files_extracted",
+)
+E16_QUERY_FIELDS = (
+    "rows", "union_matches", "cold_us", "warm_us", "warm_records_extracted",
+    "warm_cache_hits",
+)
+
+# E17's row set and schema: the three planner configurations.
+E17_CONFIGS = {"seek", "sweep", "heuristic"}
+E17_FIELDS = (
+    "queries", "rows", "cold_us", "index_seeks", "entries_examined",
+    "fetched_pairs", "pruned_pairs", "plans_estimated", "estimate_abs_error",
+    "results_match",
+)
 
 # E18's row set: exactly the two modes.
 E18_MODES = {"incremental", "recompute"}
@@ -324,11 +347,33 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                 )
 
     if exp == "e16":
-        query = next((r for r in current_doc["rows"] if r.get("source") == "_query"), None)
-        if query is None:
-            failures.append("e16: _query summary row missing from current run")
-        elif query.get("union_matches") is not True:
+        by_source = {r.get("source"): r for r in current_doc["rows"]}
+        want = set(E16_MOUNT_KINDS) | {"_query"}
+        if set(by_source) != want:
+            failures.append(f"e16: source rows {sorted(map(str, by_source))}, want {sorted(want)}")
+        query = by_source.get("_query", {})
+        for field in E16_QUERY_FIELDS:
+            if field not in query:
+                failures.append(f"e16[_query]: field {field} missing")
+        if query.get("union_matches") is not True:
             failures.append("e16[_query]: federated answer diverged from the eager union")
+        if query.get("warm_records_extracted") != 0:
+            failures.append("e16[_query]: the warm query re-extracted records")
+        if not query.get("warm_cache_hits", 0) > 0:
+            failures.append("e16[_query]: the warm query never hit the record cache")
+        for name, kind in E16_MOUNT_KINDS.items():
+            row = by_source.get(name)
+            if row is None:
+                continue  # reported by the row-set check above
+            for field in E16_MOUNT_FIELDS:
+                if field not in row:
+                    failures.append(f"e16[{name}]: field {field} missing")
+            if row.get("kind") != kind:
+                failures.append(f"e16[{name}]: kind {row.get('kind')!r}, want {kind!r}")
+            if not row.get("files_extracted", 0) > 0:
+                failures.append(f"e16[{name}]: mount never extracted")
+            if row.get("warm_files_extracted") != 0:
+                failures.append(f"e16[{name}]: warm re-extraction")
         remotes = [r for r in current_doc["rows"] if r.get("kind") == "remote"]
         if not remotes:
             failures.append("e16: no remote mount in current run")
@@ -349,12 +394,16 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
 
     if exp == "e17":
         by_config = {r.get("config"): r for r in current_doc["rows"]}
-        missing = [c for c in ("seek", "sweep", "heuristic") if c not in by_config]
-        if missing:
-            failures.append(f"e17: config rows missing from current run: {missing}")
+        if set(by_config) != E17_CONFIGS:
+            failures.append(
+                f"e17: config rows {sorted(map(str, by_config))}, want {sorted(E17_CONFIGS)}"
+            )
         else:
             seek, sweep, heuristic = by_config["seek"], by_config["sweep"], by_config["heuristic"]
             for cfg, row in by_config.items():
+                for field in E17_FIELDS:
+                    if field not in row:
+                        failures.append(f"e17[{cfg}]: field {field} missing")
                 if row.get("results_match") is not True:
                     failures.append(f"e17[{cfg}]: answers diverged from the seek reference")
             if seek.get("entries_examined", 0) >= sweep.get("entries_examined", 0):
@@ -371,8 +420,11 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                 failures.append("e17[seek]: the ordered time index never served a pruning pass")
             if sweep.get("index_seeks", 0) != 0:
                 failures.append("e17[sweep]: seek-disabled ablation still used the index")
-            if seek.get("plans_estimated", 0) < 1:
-                failures.append("e17[seek]: cost-based pipeline produced no cardinality estimates")
+            for cfg in ("seek", "sweep"):
+                if by_config[cfg].get("plans_estimated", 0) < 1:
+                    failures.append(
+                        f"e17[{cfg}]: cost-based pipeline produced no cardinality estimates"
+                    )
             if heuristic.get("plans_estimated", 0) != 0:
                 failures.append("e17[heuristic]: no-cost ablation still estimated plans")
             if seek.get("fetched_pairs") != sweep.get("fetched_pairs") or \
