@@ -20,10 +20,11 @@
 
 use crate::error::{EtlError, Result};
 use crate::extract::RecordLocator;
-use lazyetl_query::expr::eval_row;
+use lazyetl_query::expr::eval_expr;
 use lazyetl_query::plan::LogicalPlan;
 use lazyetl_query::Expr;
-use lazyetl_store::{DataType, Field, Schema, Table, Value};
+use lazyetl_store::kernels::as_i64_slice;
+use lazyetl_store::{Column, DataType, Field, Schema, Table, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -385,6 +386,19 @@ fn classify_on_pairs(on: &[(Expr, Expr)], data_is_right: bool) -> (Option<usize>
     (file_pos, seq_pos)
 }
 
+/// A join-key column's values by row: `None` where the key is NULL or the
+/// column is not an integer type (such rows join nothing).
+fn int_keys(col: &Column) -> Vec<Option<i64>> {
+    match as_i64_slice(col) {
+        Some(keys) => keys
+            .iter()
+            .enumerate()
+            .map(|(row, &k)| (!col.is_null(row)).then_some(k))
+            .collect(),
+        None => vec![None; col.len()],
+    }
+}
+
 /// Replace the (single) ExternalScan inside `plan` with `data`.
 fn inject_data(plan: &LogicalPlan, data: Arc<Table>, label: &str) -> LogicalPlan {
     plan.transform_up(&mut |node| match node {
@@ -451,48 +465,7 @@ fn rewrite_node(
     report: &mut RewriteReport,
 ) -> Result<LogicalPlan> {
     // Recurse first so the lowest qualifying join is handled.
-    let plan = match plan {
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            right_label,
-        } => LogicalPlan::Join {
-            left: Box::new(rewrite_node(left, ctx, execute_metadata, fetch, report)?),
-            right: Box::new(rewrite_node(right, ctx, execute_metadata, fetch, report)?),
-            on: on.clone(),
-            right_label: right_label.clone(),
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(rewrite_node(input, ctx, execute_metadata, fetch, report)?),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(rewrite_node(input, ctx, execute_metadata, fetch, report)?),
-            exprs: exprs.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite_node(input, ctx, execute_metadata, fetch, report)?),
-            group: group.clone(),
-            aggregates: aggregates.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(rewrite_node(input, ctx, execute_metadata, fetch, report)?),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(rewrite_node(input, ctx, execute_metadata, fetch, report)?),
-            n: *n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(rewrite_node(input, ctx, execute_metadata, fetch, report)?),
-        },
-        leaf => leaf.clone(),
-    };
+    let plan = plan.try_map_children(|c| rewrite_node(c, ctx, execute_metadata, fetch, report))?;
 
     // Now look for a join where exactly one side still contains the
     // external scan: that side is the data side, the other the metadata.
@@ -527,24 +500,21 @@ fn rewrite_node(
                     return Ok(plan);
                 }
             };
+            // Each metadata-side key expression is evaluated once, as a
+            // column over the metadata result.
+            let meta_keys = |pos: usize| -> Result<Vec<Option<i64>>> {
+                let (l, r) = &on[pos];
+                let key = if data_is_right { l } else { r };
+                Ok(int_keys(&eval_expr(key, &meta_table)?))
+            };
+            let file_ids = meta_keys(file_pos)?;
+            let seqs = seq_pos.map(meta_keys).transpose()?;
             let mut pairs: BTreeSet<(i64, i64)> = BTreeSet::new();
-            for row in 0..meta_table.num_rows() {
-                let meta_expr = |pos: usize| -> &Expr {
-                    let (l, r) = &on[pos];
-                    if data_is_right {
-                        l
-                    } else {
-                        r
-                    }
-                };
-                let fv =
-                    eval_row(meta_expr(file_pos), &meta_table, row).map_err(EtlError::Query)?;
-                let Some(file_id) = fv.as_i64() else { continue };
-                match seq_pos {
-                    Some(sp) => {
-                        let sv =
-                            eval_row(meta_expr(sp), &meta_table, row).map_err(EtlError::Query)?;
-                        if let Some(seq) = sv.as_i64() {
+            for (row, file_id) in file_ids.into_iter().enumerate() {
+                let Some(file_id) = file_id else { continue };
+                match &seqs {
+                    Some(seqs) => {
+                        if let Some(seq) = seqs[row] {
                             pairs.insert((file_id, seq));
                         }
                     }

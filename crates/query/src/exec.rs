@@ -1257,6 +1257,9 @@ fn hash_join_pairs<K: Hash + Eq + Sync>(
 /// One packed `u128` per row; `None` marks a row with a NULL key.
 type PackedKeys = Vec<Option<u128>>;
 
+/// Borrowed-or-widened i64 views of one side's key columns.
+type KeySlices<'a> = [std::borrow::Cow<'a, [i64]>];
+
 /// Pack the integer-typed join keys of **both** sides into one `u128` per
 /// row (`None` = a row with a NULL key, which never joins).
 ///
@@ -1268,9 +1271,6 @@ type PackedKeys = Vec<Option<u128>>;
 /// observed key space — equal tuples collide exactly, distinct tuples
 /// never do. Returns `None` (→ generic `GroupKey` hashing) when any key
 /// column is non-integer or the widths exceed 128 bits.
-/// Borrowed-or-widened i64 views of one side's key columns.
-type KeySlices<'a> = [std::borrow::Cow<'a, [i64]>];
-
 fn pack_int_keys(build: &[Column], probe: &[Column]) -> Option<(PackedKeys, PackedKeys)> {
     use std::borrow::Cow;
     if build.is_empty() {

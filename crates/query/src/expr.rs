@@ -212,68 +212,54 @@ impl Expr {
         self.binary(BinaryOp::And, other)
     }
 
-    /// Collect every column name referenced by this expression.
-    pub fn columns_used(&self, out: &mut Vec<String>) {
+    /// Call `f` on each immediate sub-expression, in operand order (left
+    /// before right, the tested expression before its bounds or list).
+    /// The one child visitor read-only expression walks share.
+    pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
         match self {
-            Expr::Column(name) => out.push(name.clone()),
-            Expr::Literal(_) => {}
+            Expr::Column(_) | Expr::Literal(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.columns_used(out);
-                right.columns_used(out);
+                f(left);
+                f(right);
             }
-            Expr::Unary { expr, .. } => expr.columns_used(out),
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.columns_used(out);
-                }
-            }
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => f(expr),
+            Expr::Function { args, .. } => args.iter().for_each(f),
             Expr::Aggregate { arg, .. } => {
                 if let Some(a) = arg {
-                    a.columns_used(out);
+                    f(a);
                 }
             }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.columns_used(out);
-                low.columns_used(out);
-                high.columns_used(out);
+                f(expr);
+                f(low);
+                f(high);
             }
             Expr::InList { expr, list, .. } => {
-                expr.columns_used(out);
-                for e in list {
-                    e.columns_used(out);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.columns_used(out);
-                pattern.columns_used(out);
+                f(expr);
+                f(pattern);
             }
-            Expr::IsNull { expr, .. } => expr.columns_used(out),
         }
+    }
+
+    /// Collect every column name referenced by this expression.
+    pub fn columns_used(&self, out: &mut Vec<String>) {
+        if let Expr::Column(name) = self {
+            out.push(name.clone());
+        }
+        self.for_each_child(|c| c.columns_used(out));
     }
 
     /// True if any sub-expression is an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Function { args, .. } => args.iter().any(|a| a.contains_aggregate()),
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(|e| e.contains_aggregate())
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-        }
+        let mut found = matches!(self, Expr::Aggregate { .. });
+        self.for_each_child(|c| found = found || c.contains_aggregate());
+        found
     }
 
     /// Apply `f` to every node bottom-up, rebuilding the tree.
@@ -652,7 +638,7 @@ pub fn eval_binary_values(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
                     }
                     _ => unreachable!(),
                 }
-                .ok_or_else(|| QueryError::Execution("integer overflow".into()))?;
+                .ok_or_else(integer_overflow)?;
                 let narrow = matches!(l, Value::Int32(_)) && matches!(r, Value::Int32(_));
                 return Ok(if narrow && i32::try_from(v).is_ok() {
                     Value::Int32(v as i32)
@@ -681,6 +667,22 @@ pub fn eval_binary_values(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
             Ok(Value::Float64(v))
         }
     }
+}
+
+fn integer_overflow() -> QueryError {
+    QueryError::Execution("integer overflow".into())
+}
+
+/// Negate a scalar value under SQL NULL semantics. Integer negation is
+/// checked: `-i64::MIN` is an `integer overflow` error, as `i64::MAX + 1` is.
+pub(crate) fn eval_neg_value(v: &Value) -> Result<Value> {
+    Ok(match v {
+        Value::Null => Value::Null,
+        Value::Int32(x) => Value::Int32(x.checked_neg().ok_or_else(integer_overflow)?),
+        Value::Int64(x) => Value::Int64(x.checked_neg().ok_or_else(integer_overflow)?),
+        Value::Float64(x) => Value::Float64(-x),
+        other => return Err(QueryError::Execution(format!("cannot negate {other}"))),
+    })
 }
 
 /// Validate a scalar function's argument count; the message names the
@@ -720,8 +722,8 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
     Ok(match name {
         "abs" => match &args[0] {
             Value::Null => Value::Null,
-            Value::Int32(v) => Value::Int32(v.saturating_abs()),
-            Value::Int64(v) => Value::Int64(v.saturating_abs()),
+            Value::Int32(v) => Value::Int32(v.checked_abs().ok_or_else(integer_overflow)?),
+            Value::Int64(v) => Value::Int64(v.checked_abs().ok_or_else(integer_overflow)?),
             Value::Float64(v) => Value::Float64(v.abs()),
             other => return Err(QueryError::Execution(format!("abs: bad argument {other}"))),
         },
@@ -826,13 +828,7 @@ pub fn eval_row(expr: &Expr, table: &Table, row: usize) -> Result<Value> {
                     Some(b) => Value::Bool(!b),
                     None => Value::Null,
                 }),
-                UnaryOp::Neg => Ok(match v {
-                    Value::Null => Value::Null,
-                    Value::Int32(x) => Value::Int32(-x),
-                    Value::Int64(x) => Value::Int64(-x),
-                    Value::Float64(x) => Value::Float64(-x),
-                    other => return Err(QueryError::Execution(format!("cannot negate {other}"))),
-                }),
+                UnaryOp::Neg => eval_neg_value(&v),
             }
         }
         Expr::Function { name, args } => {
@@ -1392,6 +1388,38 @@ mod tests {
                 "{name}/{} must fail evaluation",
                 args.len()
             );
+        }
+    }
+
+    #[test]
+    fn negating_the_minimum_integer_overflows() {
+        use crate::planner::{plan_sql, TableSource};
+        let schema = Schema::new(vec![
+            Field::new("v", DataType::Int64),
+            Field::new("w", DataType::Int32),
+        ])
+        .unwrap();
+        let mut t = Table::empty(schema);
+        t.append_row(vec![Value::Int64(i64::MIN), Value::Int32(i32::MIN)])
+            .unwrap();
+        let mut c = lazyetl_store::Catalog::new();
+        c.create_table("t", t).unwrap();
+        let src = TableSource::new(&c);
+        for sql in [
+            "SELECT -v FROM t",
+            "SELECT -w FROM t",
+            "SELECT abs(v) FROM t",
+            "SELECT abs(w) FROM t",
+            // Folds to -(i64::MIN): left unfolded, it fails at run time.
+            "SELECT -(0 - 9223372036854775807 - 1) FROM t",
+        ] {
+            let out = plan_sql(sql, &src)
+                .and_then(|p| crate::optimizer::optimize(&p))
+                .and_then(|p| crate::exec::execute(&p, &crate::exec::ExecContext::new(&c)));
+            match out {
+                Err(e) => assert!(e.to_string().contains("integer overflow"), "{sql}: {e}"),
+                Ok(t) => panic!("{sql} answered {:?}", t.row(0)),
+            }
         }
     }
 

@@ -9,7 +9,8 @@
 //! * [`expr`] — expression trees, SQL three-valued evaluation semantics;
 //! * [`plan`] — logical plans with structural helpers for *plan
 //!   introspection and rewriting*, the mechanism §3.1 of the paper builds
-//!   lazy extraction on;
+//!   lazy extraction on; every plan pass is a per-node function over the
+//!   one child map, [`LogicalPlan::try_map_children`];
 //! * [`planner`] — AST→plan translation including **view expansion** (the
 //!   lazy-transformation vehicle of §3.2);
 //! * [`optimizer`] — timestamp-literal coercion, constant folding and
@@ -52,7 +53,7 @@ pub use exec::{execute, ExecContext};
 pub use expr::{AggFunc, BinaryOp, Expr, UnaryOp};
 pub use maintain::{classify, MaintKind, MaintPlan, Maintainability, MergeSpec};
 pub use metrics::{ExecCounters, ExecMetrics};
-pub use optimizer::{optimize, optimize_with_cost, predicates_above};
+pub use optimizer::{optimize, optimize_with_cost};
 pub use parser::{parse, parse_select};
 pub use plan::LogicalPlan;
 pub use planner::{plan_select, plan_sql, Resolved, TableSource};

@@ -103,17 +103,7 @@ pub enum Maintainability {
 /// Scan leaf names of `plan`, sorted and deduplicated.
 pub fn referenced_tables(plan: &LogicalPlan) -> Vec<String> {
     let mut names = Vec::new();
-    fn walk(plan: &LogicalPlan, names: &mut Vec<String>) {
-        match plan {
-            LogicalPlan::TableScan { table, .. } => names.push(table.clone()),
-            LogicalPlan::ExternalScan { name, .. } => names.push(name.clone()),
-            _ => {}
-        }
-        for c in plan.children() {
-            walk(c, names);
-        }
-    }
-    walk(plan, &mut names);
+    crate::cost::base_tables(plan, &mut names);
     names.sort();
     names.dedup();
     names
@@ -156,26 +146,10 @@ fn core_ok(plan: &LogicalPlan) -> bool {
 /// data table participates in the join tree, so every delta-derived output
 /// row carries a delta data row — the premise of time-scoped keeps.)
 fn has_sample_time_leaf(plan: &LogicalPlan) -> bool {
-    let leaf_has = |schema: &lazyetl_store::Schema| schema.index_of("sample_time").is_some();
-    let mut found = false;
-    fn walk(
-        plan: &LogicalPlan,
-        found: &mut bool,
-        leaf_has: &dyn Fn(&lazyetl_store::Schema) -> bool,
-    ) {
-        if let LogicalPlan::TableScan { schema, .. } | LogicalPlan::ExternalScan { schema, .. } =
-            plan
-        {
-            if leaf_has(schema) {
-                *found = true;
-            }
-        }
-        for c in plan.children() {
-            walk(c, found, leaf_has);
-        }
-    }
-    walk(plan, &mut found, &leaf_has);
-    found
+    plan.any_node(&mut |n| {
+        matches!(n, LogicalPlan::TableScan { schema, .. } | LogicalPlan::ExternalScan { schema, .. }
+            if schema.index_of("sample_time").is_some())
+    })
 }
 
 /// Classify an optimized plan for incremental maintenance.

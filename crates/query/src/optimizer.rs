@@ -17,7 +17,7 @@
 
 use crate::cost::CostModel;
 use crate::error::Result;
-use crate::expr::{eval_binary_values, infer_type, resolve_column, Expr, UnaryOp};
+use crate::expr::{eval_binary_values, eval_neg_value, infer_type, resolve_column, Expr, UnaryOp};
 use crate::plan::LogicalPlan;
 use crate::planner::{conjoin, split_conjunction};
 use crate::time::parse_iso_micros;
@@ -138,41 +138,7 @@ pub fn coerce_timestamp_literals(plan: &LogicalPlan) -> Result<LogicalPlan> {
                 input: Box::new(new_input),
             }
         }
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggregates,
-        } => {
-            let new_input = coerce_timestamp_literals(input)?;
-            LogicalPlan::Aggregate {
-                input: Box::new(new_input),
-                group: group.clone(),
-                aggregates: aggregates.clone(),
-            }
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            right_label,
-        } => LogicalPlan::Join {
-            left: Box::new(coerce_timestamp_literals(left)?),
-            right: Box::new(coerce_timestamp_literals(right)?),
-            on: on.clone(),
-            right_label: right_label.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(coerce_timestamp_literals(input)?),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(coerce_timestamp_literals(input)?),
-            n: *n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(coerce_timestamp_literals(input)?),
-        },
-        leaf => leaf.clone(),
+        other => other.try_map_children(coerce_timestamp_literals)?,
     })
 }
 
@@ -180,13 +146,16 @@ pub fn coerce_timestamp_literals(plan: &LogicalPlan) -> Result<LogicalPlan> {
 // Pass 2: constant folding
 // ---------------------------------------------------------------------------
 
-/// Try to evaluate an expression that references no columns.
+/// Try to evaluate an expression that references no columns. `None`
+/// leaves the expression unfolded, so an evaluation error (integer
+/// overflow, say) surfaces at run time rather than at plan time.
 pub fn try_eval_const(expr: &Expr) -> Option<Value> {
     match expr {
         Expr::Literal(v) => Some(v.clone()),
         Expr::Binary { left, op, right } => {
+            // Both sides must be constant, AND/OR included: `x AND FALSE`
+            // is not folded even though its value is known.
             let l = try_eval_const(left)?;
-            // AND/OR can short-circuit on one constant side.
             let r = try_eval_const(right)?;
             eval_binary_values(*op, &l, &r).ok()
         }
@@ -198,13 +167,7 @@ pub fn try_eval_const(expr: &Expr) -> Option<Value> {
                 } else {
                     None
                 }),
-                UnaryOp::Neg => match v {
-                    Value::Int32(x) => Some(Value::Int32(-x)),
-                    Value::Int64(x) => Some(Value::Int64(-x)),
-                    Value::Float64(x) => Some(Value::Float64(-x)),
-                    Value::Null => Some(Value::Null),
-                    _ => None,
-                },
+                UnaryOp::Neg => eval_neg_value(&v).ok(),
             }
         }
         Expr::IsNull { expr, negated } => {
@@ -276,53 +239,18 @@ fn substitute_project(pred: &Expr, exprs: &[(Expr, String)]) -> Expr {
 
 /// Push filter conjunctions toward their scans.
 pub fn push_down_filters(plan: &LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
+    match plan {
         LogicalPlan::Filter { input, predicate } => {
             let mut conjuncts = Vec::new();
             split_conjunction(predicate, &mut conjuncts);
-            push_conjuncts(input, conjuncts)?
+            push_conjuncts(input, conjuncts)
         }
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(push_down_filters(input)?),
-            exprs: exprs.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_filters(input)?),
-            group: group.clone(),
-            aggregates: aggregates.clone(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            right_label,
-        } => LogicalPlan::Join {
-            left: Box::new(push_down_filters(left)?),
-            right: Box::new(push_down_filters(right)?),
-            on: on.clone(),
-            right_label: right_label.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_down_filters(input)?),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(push_down_filters(input)?),
-            n: *n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_down_filters(input)?),
-        },
-        leaf => leaf.clone(),
-    })
+        other => other.try_map_children(push_down_filters),
+    }
 }
 
 /// Push a set of conjuncts into `plan`, wrapping what cannot sink.
-fn push_conjuncts(plan: &LogicalPlan, conjuncts: Vec<Expr>) -> Result<LogicalPlan> {
+fn push_conjuncts(plan: &LogicalPlan, mut conjuncts: Vec<Expr>) -> Result<LogicalPlan> {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             // Merge and continue downward.
@@ -377,13 +305,10 @@ fn push_conjuncts(plan: &LogicalPlan, conjuncts: Vec<Expr>) -> Result<LogicalPla
             };
             Ok(wrap_filter(node, stuck))
         }
-        LogicalPlan::Sort { input, keys } => Ok(LogicalPlan::Sort {
-            input: Box::new(push_conjuncts(input, conjuncts)?),
-            keys: keys.clone(),
-        }),
-        LogicalPlan::Distinct { input } => Ok(LogicalPlan::Distinct {
-            input: Box::new(push_conjuncts(input, conjuncts)?),
-        }),
+        // Row-preserving single-input nodes: everything passes through.
+        LogicalPlan::Sort { .. } | LogicalPlan::Distinct { .. } => {
+            plan.try_map_children(|input| push_conjuncts(input, std::mem::take(&mut conjuncts)))
+        }
         // Not safe to push through Limit or Aggregate; optimize below and
         // leave the filter here.
         other => {
@@ -443,38 +368,10 @@ struct JoinEdge {
 /// * an ON-condition side spans more than one relation;
 /// * the model cannot estimate every relation (statless snapshots).
 pub fn reorder_joins(plan: &LogicalPlan, model: &CostModel) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Join { .. } => reorder_chain(plan, model)?,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(reorder_joins(input, model)?),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(reorder_joins(input, model)?),
-            exprs: exprs.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(reorder_joins(input, model)?),
-            group: group.clone(),
-            aggregates: aggregates.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(reorder_joins(input, model)?),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(reorder_joins(input, model)?),
-            n: *n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(reorder_joins(input, model)?),
-        },
-        leaf => leaf.clone(),
-    })
+    match plan {
+        LogicalPlan::Join { .. } => reorder_chain(plan, model),
+        other => other.try_map_children(|c| reorder_joins(c, model)),
+    }
 }
 
 /// Flatten a maximal tree of Join nodes into its non-join leaves and raw
@@ -505,17 +402,7 @@ fn flatten_chain(
 /// Keep a join chain's structure, recursing into its non-join subtrees.
 fn keep_order(plan: &LogicalPlan, model: &CostModel) -> Result<LogicalPlan> {
     match plan {
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            right_label,
-        } => Ok(LogicalPlan::Join {
-            left: Box::new(keep_order(left, model)?),
-            right: Box::new(keep_order(right, model)?),
-            on: on.clone(),
-            right_label: right_label.clone(),
-        }),
+        LogicalPlan::Join { .. } => plan.try_map_children(|c| keep_order(c, model)),
         other => reorder_joins(other, model),
     }
 }
@@ -825,28 +712,6 @@ pub fn prune_columns(plan: &LogicalPlan, required: Required) -> Result<LogicalPl
     })
 }
 
-/// Collect the conjuncts of every Filter sitting directly above a leaf that
-/// satisfies `is_target`. Used by the lazy rewriter to find "the selection
-/// predicates on the metadata" and on the actual data.
-pub fn predicates_above<F: Fn(&LogicalPlan) -> bool>(
-    plan: &LogicalPlan,
-    is_target: &F,
-) -> Vec<Expr> {
-    let mut out = Vec::new();
-    fn walk<F: Fn(&LogicalPlan) -> bool>(plan: &LogicalPlan, is_target: &F, out: &mut Vec<Expr>) {
-        if let LogicalPlan::Filter { input, predicate } = plan {
-            if is_target(input) {
-                split_conjunction(predicate, out);
-            }
-        }
-        for c in plan.children() {
-            walk(c, is_target, out);
-        }
-    }
-    walk(plan, is_target, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,14 +753,15 @@ mod tests {
             "coerced literal shown as timestamp:\n{d}"
         );
         // The predicate value is a Timestamp literal, not a string.
-        let preds = predicates_above(&opt, &|p| matches!(p, LogicalPlan::TableScan { .. }));
-        assert_eq!(preds.len(), 1);
-        match &preds[0] {
-            Expr::Binary { right, .. } => {
-                assert!(matches!(**right, Expr::Literal(Value::Timestamp(_))))
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(
+            opt.any_node(&mut |n| matches!(
+                n,
+                LogicalPlan::Filter { input, predicate: Expr::Binary { right, .. } }
+                    if matches!(**input, LogicalPlan::TableScan { .. })
+                        && matches!(**right, Expr::Literal(Value::Timestamp(_)))
+            )),
+            "timestamp literal in the scan's filter:\n{d}"
+        );
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! ([`LogicalPlan::children`], [`LogicalPlan::transform_up`]) and a stable
 //! textual rendering used by `EXPLAIN` and the demo (items 4 and 6 of the
 //! demonstration scenario).
+//!
+//! Every plan pass — the optimizer's rewrites and the core crate's run-time
+//! lazy rewrite alike — handles only the nodes it changes and hands every
+//! other node to the one child map, [`LogicalPlan::try_map_children`].
 
 use crate::error::{QueryError, Result};
 use crate::expr::{infer_type, Expr};
 use lazyetl_store::{Field, Schema, Table};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// A node of a logical query plan.
@@ -162,19 +167,28 @@ impl LogicalPlan {
         }
     }
 
-    /// Rebuild this tree bottom-up, applying `f` to every node.
-    pub fn transform_up(&self, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-        let rebuilt = match self {
+    /// Rebuild this node with every child replaced by `f(child)`; the
+    /// node's own fields are cloned, and so are leaves.
+    ///
+    /// Children are visited left before right, and the first `Err` is
+    /// returned without visiting a later sibling — the run-time rewriter
+    /// relies on both (fetch order; no second fetch after a failed one).
+    pub fn try_map_children<E>(
+        &self,
+        mut f: impl FnMut(&LogicalPlan) -> std::result::Result<LogicalPlan, E>,
+    ) -> std::result::Result<LogicalPlan, E> {
+        let mut child = |input: &LogicalPlan| f(input).map(Box::new);
+        Ok(match self {
             LogicalPlan::TableScan { .. }
             | LogicalPlan::ExternalScan { .. }
             | LogicalPlan::InlineData { .. }
             | LogicalPlan::OneRow => self.clone(),
             LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-                input: Box::new(input.transform_up(f)),
+                input: child(input)?,
                 predicate: predicate.clone(),
             },
             LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-                input: Box::new(input.transform_up(f)),
+                input: child(input)?,
                 exprs: exprs.clone(),
             },
             LogicalPlan::Aggregate {
@@ -182,7 +196,7 @@ impl LogicalPlan {
                 group,
                 aggregates,
             } => LogicalPlan::Aggregate {
-                input: Box::new(input.transform_up(f)),
+                input: child(input)?,
                 group: group.clone(),
                 aggregates: aggregates.clone(),
             },
@@ -192,23 +206,28 @@ impl LogicalPlan {
                 on,
                 right_label,
             } => LogicalPlan::Join {
-                left: Box::new(left.transform_up(f)),
-                right: Box::new(right.transform_up(f)),
+                left: child(left)?,
+                right: child(right)?,
                 on: on.clone(),
                 right_label: right_label.clone(),
             },
             LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-                input: Box::new(input.transform_up(f)),
+                input: child(input)?,
                 keys: keys.clone(),
             },
             LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-                input: Box::new(input.transform_up(f)),
+                input: child(input)?,
                 n: *n,
             },
             LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-                input: Box::new(input.transform_up(f)),
+                input: child(input)?,
             },
-        };
+        })
+    }
+
+    /// Rebuild this tree bottom-up, applying `f` to every node.
+    pub fn transform_up(&self, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let Ok(rebuilt) = self.try_map_children(|c| Ok::<_, Infallible>(c.transform_up(f)));
         f(rebuilt)
     }
 
@@ -377,5 +396,121 @@ mod tests {
         });
         assert!(rewritten.any_node(&mut |n| matches!(n, LogicalPlan::OneRow)));
         assert!(!rewritten.any_node(&mut |n| matches!(n, LogicalPlan::ExternalScan { .. })));
+    }
+
+    /// One plan holding every variant (schemas need not line up: nothing
+    /// here asks for one).
+    fn every_variant() -> LogicalPlan {
+        let one = || Expr::lit(lazyetl_store::Value::Int64(1));
+        let join = |left, right, label: &str| LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            on: vec![(Expr::col("a"), Expr::col("b"))],
+            right_label: label.to_string(),
+        };
+        let data = join(
+            scan("t", &[("a", DataType::Int64)]),
+            LogicalPlan::ExternalScan {
+                name: "d".to_string(),
+                schema: Schema::default(),
+            },
+            "d",
+        );
+        let meta = join(
+            LogicalPlan::InlineData {
+                label: "rows".to_string(),
+                table: Arc::new(Table::empty(Schema::default())),
+            },
+            LogicalPlan::OneRow,
+            "o",
+        );
+        LogicalPlan::Distinct {
+            input: Box::new(LogicalPlan::Limit {
+                input: Box::new(LogicalPlan::Sort {
+                    input: Box::new(LogicalPlan::Project {
+                        input: Box::new(LogicalPlan::Aggregate {
+                            input: Box::new(LogicalPlan::Filter {
+                                input: Box::new(join(data, meta, "m")),
+                                predicate: Expr::col("a").binary(crate::expr::BinaryOp::Eq, one()),
+                            }),
+                            group: vec![(Expr::col("a"), "a".to_string())],
+                            aggregates: vec![(
+                                Expr::Aggregate {
+                                    func: crate::expr::AggFunc::Count,
+                                    arg: None,
+                                    distinct: false,
+                                },
+                                "n".to_string(),
+                            )],
+                        }),
+                        exprs: vec![(one(), "one".to_string())],
+                    }),
+                    keys: vec![(Expr::col("a"), true)],
+                }),
+                n: 3,
+            }),
+        }
+    }
+
+    /// The first line of a node's rendering, e.g. `TableScan: t`.
+    fn head(p: &LogicalPlan) -> String {
+        p.display().lines().next().unwrap().to_string()
+    }
+
+    #[test]
+    fn child_map_identity_rebuilds_an_equal_plan() {
+        fn id(p: &LogicalPlan) -> std::result::Result<LogicalPlan, Infallible> {
+            p.try_map_children(id)
+        }
+        let plan = every_variant();
+        let Ok(shallow) = plan.try_map_children(|c| Ok::<_, Infallible>(c.clone()));
+        assert_eq!(shallow, plan);
+        let Ok(deep) = id(&plan);
+        assert_eq!(deep, plan);
+        assert_eq!(plan.transform_up(&mut |n| n), plan);
+    }
+
+    #[test]
+    fn child_map_visits_left_before_right() {
+        fn visit(
+            p: &LogicalPlan,
+            seen: &mut Vec<String>,
+        ) -> std::result::Result<LogicalPlan, Infallible> {
+            seen.push(head(p));
+            p.try_map_children(|c| visit(c, seen))
+        }
+        let mut seen = Vec::new();
+        let Ok(_) = visit(&every_variant(), &mut seen);
+        let leaves: Vec<&str> = seen
+            .iter()
+            .map(String::as_str)
+            .filter(|l| l.contains("Scan") || l.starts_with("InlineData") || *l == "OneRow")
+            .collect();
+        assert_eq!(
+            leaves,
+            vec![
+                "TableScan: t",
+                "ExternalScan: d (actual data, not loaded)",
+                "InlineData: rows [0 rows]",
+                "OneRow"
+            ]
+        );
+    }
+
+    #[test]
+    fn child_map_stops_at_the_first_err() {
+        let plan = LogicalPlan::Join {
+            left: Box::new(scan("a", &[])),
+            right: Box::new(scan("b", &[])),
+            on: vec![],
+            right_label: "b".to_string(),
+        };
+        let mut seen = Vec::new();
+        let out = plan.try_map_children(|c| {
+            seen.push(head(c));
+            Err::<LogicalPlan, _>(head(c))
+        });
+        assert_eq!(out, Err("TableScan: a".to_string()));
+        assert_eq!(seen, vec!["TableScan: a"], "no sibling after the error");
     }
 }

@@ -304,49 +304,15 @@ fn plan_joins(
     Ok(plan)
 }
 
-/// Collect every aggregate call in an expression tree.
+/// Collect every distinct aggregate call in an expression tree, in first
+/// appearance order (an aggregate's own argument is not searched).
 fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Aggregate { .. } => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
+    if matches!(expr, Expr::Aggregate { .. }) {
+        if !out.contains(expr) {
+            out.push(expr.clone());
         }
-        _ => {
-            // Recurse through children via transform (read-only use).
-            match expr {
-                Expr::Binary { left, right, .. } => {
-                    collect_aggregates(left, out);
-                    collect_aggregates(right, out);
-                }
-                Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-                    collect_aggregates(expr, out)
-                }
-                Expr::Function { args, .. } => {
-                    for a in args {
-                        collect_aggregates(a, out);
-                    }
-                }
-                Expr::Between {
-                    expr, low, high, ..
-                } => {
-                    collect_aggregates(expr, out);
-                    collect_aggregates(low, out);
-                    collect_aggregates(high, out);
-                }
-                Expr::InList { expr, list, .. } => {
-                    collect_aggregates(expr, out);
-                    for e in list {
-                        collect_aggregates(e, out);
-                    }
-                }
-                Expr::Like { expr, pattern, .. } => {
-                    collect_aggregates(expr, out);
-                    collect_aggregates(pattern, out);
-                }
-                _ => {}
-            }
-        }
+    } else {
+        expr.for_each_child(|c| collect_aggregates(c, out));
     }
 }
 

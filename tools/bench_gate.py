@@ -156,6 +156,17 @@ GATES = {
     ),
 }
 
+# E12's row schema: the perf-trajectory fields every row must carry.
+E12_FIELDS = ("shards", "threads", "throughput_qps", "p50_us", "p99_us", "cache_hit_rate")
+
+# E13's row set and schema: one cold open and one warm reopen, each with
+# the fields of the warm-restart acceptance bar.
+E13_PHASES = {"cold", "warm"}
+E13_FIELDS = (
+    "open_us", "first_query_us", "tti_us", "mix_total_us", "cache_hit_rate",
+    "records_extracted", "save_us", "saved_bytes", "segments", "warm_beats_cold",
+)
+
 # E14's admission row exists to prove backpressure fires; gate that too.
 E14_ADMISSION_MIN_BUSY = 1
 
@@ -297,6 +308,47 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                 f"{exp}: {metric} over {order} " +
                 " → ".join(f"{r.get(metric):.0f}" for r in swept)
             )
+
+    if exp == "e12":
+        if not current_doc["rows"]:
+            failures.append("e12: no rows in current run")
+        for row in current_doc["rows"]:
+            for field in E12_FIELDS:
+                if field not in row:
+                    failures.append(f"e12[{row.get('phase')}]: field {field} missing")
+
+    # E13: the warm-restart acceptance bar — a reopened warehouse must beat
+    # the cold open to first insight, answer the mix without re-extraction,
+    # and hit its rehydrated cache.
+    if exp == "e13":
+        by_phase = {r.get("phase"): r for r in current_doc["rows"]}
+        if set(by_phase) != E13_PHASES or len(current_doc["rows"]) != len(E13_PHASES):
+            failures.append(
+                f"e13: phase rows {sorted(map(str, by_phase))}, want {sorted(E13_PHASES)}"
+            )
+        else:
+            cold, warm = by_phase["cold"], by_phase["warm"]
+            for phase, row in by_phase.items():
+                for field in E13_FIELDS:
+                    if field not in row:
+                        failures.append(f"e13[{phase}]: field {field} missing")
+            if warm.get("records_extracted") != 0:
+                failures.append("e13[warm]: the warm reopen re-extracted records")
+            if not cold.get("records_extracted", 0) > 0:
+                failures.append("e13[cold]: the cold open never extracted")
+            if not warm.get("cache_hit_rate", 0) > 0.99:
+                failures.append(f"e13[warm]: cache hit rate {warm.get('cache_hit_rate')} not above 0.99")
+            if not warm.get("segments", 0) > 0:
+                failures.append("e13[warm]: the warm reopen loaded no segments")
+            if not warm.get("tti_us", 0) < cold.get("tti_us", 0):
+                failures.append(
+                    f"e13: warm TTI {warm.get('tti_us')}us does not beat cold "
+                    f"{cold.get('tti_us')}us to first insight"
+                )
+            else:
+                notes.append(
+                    f"e13: warm TTI {warm['tti_us']}us < cold {cold['tti_us']}us ok"
+                )
 
     if exp == "e15":
         sweep = [r for r in current_doc["rows"] if r.get("kernel") == "agg_parallel"]
