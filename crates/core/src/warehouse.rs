@@ -54,7 +54,7 @@ use crate::cache::{CacheLookup, CacheSnapshot, RecyclingCache};
 use crate::error::{EtlError, Result};
 use crate::extract::{push_file_row, push_record_row, FormatRegistry, RecordLocator};
 use crate::log::{EtlLog, EtlOp};
-use crate::parallel::{extract_groups_into, FileGroup};
+use crate::parallel::{extract_groups_into, ExtractedRecord, FileGroup};
 use crate::qcache::{QueryResultCache, ResultCacheSnapshot, ResultMeta, ResultScope};
 use crate::rewrite::{lazy_rewrite, LocatorIndex, RewriteContext, RewriteReport};
 use crate::schema::{self, DATA_TABLE, FILES_TABLE, RECORDS_TABLE};
@@ -1946,10 +1946,11 @@ fn record_time_coverage(table: &Arc<Table>) -> (Option<i64>, Option<i64>) {
 /// * **extract + admit** (parallel up to `threads`, see
 ///   [`crate::parallel`]) — decode the missing records file by file, each
 ///   worker admitting its records straight into the lock-striped cache;
-/// * **assemble** (sequential) — per file in pair order: cached rows
-///   first, then fresh rows in byte-offset order.
+/// * **assemble** (sequential) — each pair's rows, cached or fresh, in
+///   pair order, concatenated once into a table sized exactly.
 ///
-/// The assembled table is byte-identical for every thread count. Each
+/// The assembled table is byte-identical for every thread count and for
+/// every split of the pairs into cache hits and extractions. Each
 /// file's reads go through its own mounted source; extraction work is
 /// costed under that source's access profile and tallied into its
 /// [`SourceCounters`].
@@ -1964,8 +1965,11 @@ fn fetch_pairs(
     pairs: &[(i64, i64)],
     stats: &mut FetchStats,
 ) -> Result<Arc<Table>> {
-    // Phase A: group pairs by file and triage against the cache.
+    // Phase A: group pairs by file and triage against the cache. Per
+    // group, `hit_of` lists its pairs in order, each with whether the
+    // cache served it.
     let mut groups: Vec<FileGroup<'_>> = Vec::new();
+    let mut hit_of: Vec<Vec<(i64, bool)>> = Vec::new();
     let mut i = 0usize;
     while i < pairs.len() {
         let file_id = pairs[i].0;
@@ -2000,13 +2004,16 @@ fn fetch_pairs(
             hit_tables: Vec::new(),
             to_extract: Vec::new(),
         };
+        let mut hits = Vec::with_capacity(seqs.len());
         for &seq in &seqs {
             let info = state.index.get(file_id, seq).ok_or_else(|| {
                 EtlError::Internal(format!(
                     "record ({file_id}, {seq}) missing from locator index"
                 ))
             })?;
-            match cache.get((file_id, seq), current_mtime) {
+            let lookup = cache.get((file_id, seq), current_mtime);
+            hits.push((seq, matches!(lookup, CacheLookup::Hit(_))));
+            match lookup {
                 CacheLookup::Hit(t) => {
                     group.hit_tables.push(t);
                     stats.cache_hits += 1;
@@ -2026,65 +2033,95 @@ fn fetch_pairs(
         }
         group.to_extract.sort_by_key(|l| l.byte_offset);
         groups.push(group);
+        hit_of.push(hits);
     }
 
     // Phase B: extract missing records, possibly in parallel; workers
     // admit each record to its cache shard as soon as it materializes.
     let extracted = extract_groups_into(extractor, &groups, threads, Some(cache));
 
-    // Phase C: assemble rows in pair order.
-    let mut out = Table::empty(schema::data_schema());
+    // Phase C: account and log per file, then assemble every pair's rows,
+    // hit or fresh, in pair order with one exactly-sized concatenation.
+    let mut fresh: Vec<Vec<ExtractedRecord>> = Vec::with_capacity(groups.len());
     for (group, datas) in groups.iter().zip(extracted) {
         if !group.hit_tables.is_empty() {
-            for t in &group.hit_tables {
-                out.append_table(t)?;
-            }
             log.push(EtlOp::CacheHit {
                 uri: group.display_uri.clone(),
                 records: group.hit_tables.len(),
             });
         }
         let datas = datas?;
-        if datas.is_empty() {
-            continue;
+        if !datas.is_empty() {
+            account_extraction(group, &datas, counters, log, stats);
         }
-        let mut file_bytes = 0u64;
-        let mut samples = 0usize;
-        for (rec, loc) in datas.iter().zip(&group.to_extract) {
-            samples += rec.samples;
-            file_bytes += loc.record_length as u64;
-            out.append_table(&rec.table)?;
-            if rec.evicted_on_admit > 0 {
-                log.push(EtlOp::CacheEvict {
-                    entries: rec.evicted_on_admit,
-                    bytes: 0,
-                });
-            }
-        }
-        let simulated = group.source.access().cost(file_bytes);
-        stats.records_extracted += datas.len();
-        stats.samples_extracted += samples as u64;
-        stats.bytes_read += file_bytes;
-        stats.simulated_io += simulated;
-        stats.files_extracted.insert(group.display_uri.clone());
-        let (mount, _) = split_file_id(group.file_id);
-        if let Some(c) = counters.get(mount) {
-            c.files_extracted.fetch_add(1, Ordering::Relaxed);
-            c.records_extracted
-                .fetch_add(datas.len() as u64, Ordering::Relaxed);
-            c.samples_extracted
-                .fetch_add(samples as u64, Ordering::Relaxed);
-            c.bytes_read.fetch_add(file_bytes, Ordering::Relaxed);
-            c.simulated_io_us
-                .fetch_add(simulated.as_micros() as u64, Ordering::Relaxed);
-        }
-        log.push(EtlOp::Extract {
-            uri: group.display_uri.clone(),
-            records: datas.len(),
-            samples,
-        });
+        fresh.push(datas);
     }
-    Ok(Arc::new(out))
+    let mut parts: Vec<&Table> = Vec::with_capacity(pairs.len());
+    for ((group, hits), datas) in groups.iter().zip(&hit_of).zip(&fresh) {
+        let mut cached = group.hit_tables.iter();
+        let mut extracted: Vec<(i64, &Table)> =
+            datas.iter().map(|r| (r.seq_no, &*r.table)).collect();
+        extracted.sort_by_key(|&(seq, _)| seq);
+        for &(seq, hit) in hits {
+            let table = if hit {
+                cached.next().map(|t| &**t)
+            } else {
+                extracted
+                    .binary_search_by_key(&seq, |&(s, _)| s)
+                    .ok()
+                    .map(|k| extracted[k].1)
+            };
+            parts.push(table.ok_or_else(|| {
+                EtlError::Internal(format!("record ({}, {seq}) was not fetched", group.file_id))
+            })?);
+        }
+    }
+    Ok(Arc::new(Table::concat(schema::data_schema(), &parts)?))
+}
+
+/// Account one file's freshly extracted records: fetch statistics, the
+/// mount's source counters and the ETL log.
+fn account_extraction(
+    group: &FileGroup<'_>,
+    datas: &[ExtractedRecord],
+    counters: &[SourceCounters],
+    log: &EtlLog,
+    stats: &mut FetchStats,
+) {
+    let mut file_bytes = 0u64;
+    let mut samples = 0usize;
+    for (rec, loc) in datas.iter().zip(&group.to_extract) {
+        samples += rec.samples;
+        file_bytes += loc.record_length as u64;
+        if rec.evicted_on_admit > 0 {
+            log.push(EtlOp::CacheEvict {
+                entries: rec.evicted_on_admit,
+                bytes: 0,
+            });
+        }
+    }
+    let simulated = group.source.access().cost(file_bytes);
+    stats.records_extracted += datas.len();
+    stats.samples_extracted += samples as u64;
+    stats.bytes_read += file_bytes;
+    stats.simulated_io += simulated;
+    stats.files_extracted.insert(group.display_uri.clone());
+    let (mount, _) = split_file_id(group.file_id);
+    if let Some(c) = counters.get(mount) {
+        c.files_extracted.fetch_add(1, Ordering::Relaxed);
+        c.records_extracted
+            .fetch_add(datas.len() as u64, Ordering::Relaxed);
+        c.samples_extracted
+            .fetch_add(samples as u64, Ordering::Relaxed);
+        c.bytes_read.fetch_add(file_bytes, Ordering::Relaxed);
+        c.simulated_io_us
+            .fetch_add(simulated.as_micros() as u64, Ordering::Relaxed);
+    }
+    log.push(EtlOp::Extract {
+        uri: group.display_uri.clone(),
+        records: datas.len(),
+        samples,
+    });
 }
 
 #[cfg(test)]

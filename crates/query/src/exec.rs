@@ -28,9 +28,23 @@
 //!   overflow is detected at finish time from the true total — the same
 //!   answer for any decomposition. The result recycler patches cached
 //!   aggregates with the same merge ([`merge_state_tables`]).
-//! - **Join** partitions both sides by deterministic key hash,
-//!   builds/probes per partition, and stable-sorts the matched index
-//!   pairs back into the serial probe order.
+//! - **Join** matches runs, not rows: consecutive probe rows with equal
+//!   integer keys (every row of a cached record shares its `(file_id,
+//!   seq_no)`) are looked up once and emitted as one run while they have
+//!   one match. In parallel it partitions both sides by deterministic key
+//!   hash, builds/probes per partition, and sorts the matched runs back
+//!   into the serial probe order.
+//! - **Aggregate over a join** (through pass-through Projects) never
+//!   builds the joined table when every group expression reads only the
+//!   build side and every argument only the probe side: it cuts the
+//!   *virtual* join output at the same ranges, visits each range's rows in
+//!   emission order, takes a row's group from its build row and its
+//!   argument values from its probe row, and folds each run of rows into
+//!   the accumulators with one slice update. Same ranges and the same
+//!   per-accumulator value order give the same partials as the built
+//!   join, so the answer is identical to the bit
+//!   (`tests/proptest_fused.rs`). Other shapes, and the row-at-a-time
+//!   reference, build the join.
 //! - Sort, Limit and Distinct stay serial — they are merge-dominated.
 //!
 //! An erroring or panicking morsel surfaces the **first** error in morsel
@@ -38,16 +52,19 @@
 
 use crate::error::{QueryError, Result};
 use crate::expr::{
-    eval_expr_opts, eval_predicate_mask_opts, infer_type, AggFunc, EvalOptions, Expr,
+    eval_expr_opts, eval_predicate_mask_opts, infer_type, resolve_column, AggFunc, EvalOptions,
+    Expr,
 };
 use crate::maintain::MergeSpec;
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use lazyetl_store::parallel::{try_parallel_map, WorkerPanic};
 use lazyetl_store::{Catalog, Column, DataType, Field, GroupKey, Schema, Table, Value};
+use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -330,25 +347,31 @@ fn execute_pipeline(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Arc<Tab
         None => execute(source, ctx)?,
     };
     ops.reverse(); // apply innermost first
+    run_pipeline(table, &ops, ctx)
+}
 
+/// Run an op chain (innermost first) over `table`: in one pass, or morsel
+/// by morsel with the outputs concatenated once in morsel order.
+fn run_pipeline(
+    table: Arc<Table>,
+    ops: &[PipeOp<'_>],
+    ctx: &ExecContext<'_>,
+) -> Result<Arc<Table>> {
     let rows = table.num_rows();
     if ctx.parallelism <= 1 || rows <= ctx.morsel_rows {
-        return apply_pipe_ops(table, &ops, ctx);
+        return apply_pipe_ops(table, ops, ctx);
     }
     let ranges = morsel_ranges(rows, ctx.morsel_rows);
     ctx.count_parallel(ranges.len());
     let results = try_parallel_map(&ranges, ctx.parallelism, |&(off, len)| -> Result<Table> {
         let morsel = table.slice(off, len).map_err(QueryError::Store)?;
-        let out = apply_pipe_ops(Arc::new(morsel), &ops, ctx)?;
+        let out = apply_pipe_ops(Arc::new(morsel), ops, ctx)?;
         Ok(Arc::try_unwrap(out).unwrap_or_else(|a| (*a).clone()))
     });
     let parts = join_morsels(results)?;
     let merge_started = Instant::now();
-    let mut iter = parts.into_iter();
-    let mut out = iter.next().expect("rows > morsel_rows implies >= 1 morsel");
-    for p in iter {
-        out.append_table(&p).map_err(QueryError::Store)?;
-    }
+    let refs: Vec<&Table> = parts.iter().collect();
+    let out = Table::concat(parts[0].schema.clone(), &refs).map_err(QueryError::Store)?;
     ctx.count_merge(merge_started);
     Ok(Arc::new(out))
 }
@@ -455,100 +478,117 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Typed update for a non-NULL integer-family value (`dt` distinguishes
-    /// `Int32`/`Int64`/`Timestamp` so MIN/MAX reproduce the input type).
-    /// Semantics match [`Accumulator::update`] with the boxed `Value`:
-    /// integers feed SUM/AVG both ways; no allocation anywhere.
-    #[inline]
-    fn update_i64(&mut self, x: i64, dt: DataType) -> Result<()> {
+    /// Typed update over one run's non-NULL integer-family values, in row
+    /// order (`dt` distinguishes `Int32`/`Int64`/`Timestamp` so MIN/MAX
+    /// reproduce the input type). Semantics match [`Accumulator::update`]
+    /// per boxed `Value`: SUM/AVG make the same `+=` sequence, MIN/MAX offer
+    /// the run's champion once (equal candidates are equal values); no
+    /// allocation beyond a changed champion.
+    fn update_i64_slice(&mut self, xs: impl Iterator<Item = i64>, dt: DataType) {
         let make = |x: i64| match dt {
             DataType::Int32 => Value::Int32(x as i32),
             DataType::Timestamp => Value::Timestamp(x),
             _ => Value::Int64(x),
         };
         match self {
-            Accumulator::Count { n } => *n += 1,
+            Accumulator::Count { n } => *n += xs.count() as i64,
             Accumulator::SumInt { sum, any } => {
-                *sum += x as i128;
-                *any = true;
+                for x in xs {
+                    *sum += x as i128;
+                    *any = true;
+                }
             }
             Accumulator::SumFloat { sum, any } => {
-                *sum += x as f64;
-                *any = true;
+                for x in xs {
+                    *sum += x as f64;
+                    *any = true;
+                }
             }
             Accumulator::Avg { sum, n } => {
-                *sum += x as f64;
-                *n += 1;
+                for x in xs {
+                    *sum += x as f64;
+                    *n += 1;
+                }
             }
             Accumulator::Min { best } => {
-                if best.as_ref().and_then(|b| b.as_i64()).is_none_or(|b| x < b) {
-                    *best = Some(make(x));
+                if let Some(x) = xs.min() {
+                    if best.as_ref().and_then(|b| b.as_i64()).is_none_or(|b| x < b) {
+                        *best = Some(make(x));
+                    }
                 }
             }
             Accumulator::Max { best } => {
-                if best.as_ref().and_then(|b| b.as_i64()).is_none_or(|b| x > b) {
-                    *best = Some(make(x));
+                if let Some(x) = xs.max() {
+                    if best.as_ref().and_then(|b| b.as_i64()).is_none_or(|b| x > b) {
+                        *best = Some(make(x));
+                    }
                 }
             }
         }
-        Ok(())
     }
 
-    /// Typed update for a non-NULL float. SUM over an integer-typed
-    /// accumulator skips floats, exactly like the boxed path
-    /// (`Value::as_i64` answers `None` for `Float64`).
-    #[inline]
-    fn update_f64(&mut self, x: f64) {
+    /// [`Accumulator::update_i64_slice`] for floats. SUM over an
+    /// integer-typed accumulator skips floats, exactly like the boxed path
+    /// (`Value::as_i64` answers `None` for `Float64`); MIN/MAX order by
+    /// `total_cmp`, like `Value::sql_cmp`.
+    fn update_f64_slice(&mut self, xs: impl Iterator<Item = f64>) {
+        let champion = |best: &mut Option<Value>, x: Option<f64>, wins: std::cmp::Ordering| {
+            if let Some(x) = x {
+                if best
+                    .as_ref()
+                    .and_then(|b| b.as_f64())
+                    .is_none_or(|b| x.total_cmp(&b) == wins)
+                {
+                    *best = Some(Value::Float64(x));
+                }
+            }
+        };
         match self {
-            Accumulator::Count { n } => *n += 1,
+            Accumulator::Count { n } => *n += xs.count() as i64,
             Accumulator::SumInt { .. } => {}
             Accumulator::SumFloat { sum, any } => {
-                *sum += x;
-                *any = true;
+                for x in xs {
+                    *sum += x;
+                    *any = true;
+                }
             }
             Accumulator::Avg { sum, n } => {
-                *sum += x;
-                *n += 1;
+                for x in xs {
+                    *sum += x;
+                    *n += 1;
+                }
             }
             Accumulator::Min { best } => {
-                let replace = match best.as_ref().and_then(|b| b.as_f64()) {
-                    None => true,
-                    Some(b) => x.total_cmp(&b).is_lt(),
-                };
-                if replace {
-                    *best = Some(Value::Float64(x));
-                }
+                let x = xs.reduce(|a, b| if b.total_cmp(&a).is_lt() { b } else { a });
+                champion(best, x, std::cmp::Ordering::Less);
             }
             Accumulator::Max { best } => {
-                let replace = match best.as_ref().and_then(|b| b.as_f64()) {
-                    None => true,
-                    Some(b) => x.total_cmp(&b).is_gt(),
-                };
-                if replace {
-                    *best = Some(Value::Float64(x));
-                }
+                let x = xs.reduce(|a, b| if b.total_cmp(&a).is_gt() { b } else { a });
+                champion(best, x, std::cmp::Ordering::Greater);
             }
         }
     }
 
-    /// Typed update for a non-NULL string: MIN/MAX compare the **borrowed**
-    /// `&str` and clone only when the champion actually changes — the boxed
-    /// path had to clone every row's string just to look at it.
-    #[inline]
-    fn update_str(&mut self, s: &str) {
+    /// [`Accumulator::update_i64_slice`] for strings: MIN/MAX compare the
+    /// **borrowed** `&str` and clone only when the champion changes.
+    fn update_str_slice<'s>(&mut self, xs: impl Iterator<Item = &'s str>) {
         match self {
-            Accumulator::Count { n } => *n += 1,
+            Accumulator::Count { n } => *n += xs.count() as i64,
             // Strings feed neither SUM nor AVG (as_i64/as_f64 are None).
             Accumulator::SumInt { .. } | Accumulator::SumFloat { .. } | Accumulator::Avg { .. } => {
             }
             Accumulator::Min { best } => {
-                if best.as_ref().and_then(|b| b.as_str()).is_none_or(|b| s < b) {
-                    *best = Some(Value::Utf8(s.to_string()));
+                if let Some(s) = xs.min() {
+                    if best.as_ref().and_then(|b| b.as_str()).is_none_or(|b| s < b) {
+                        *best = Some(Value::Utf8(s.to_string()));
+                    }
                 }
             }
             Accumulator::Max { best } => {
-                if best.as_ref().and_then(|b| b.as_str()).is_none_or(|b| s > b) {
-                    *best = Some(Value::Utf8(s.to_string()));
+                if let Some(s) = xs.max() {
+                    if best.as_ref().and_then(|b| b.as_str()).is_none_or(|b| s > b) {
+                        *best = Some(Value::Utf8(s.to_string()));
+                    }
                 }
             }
         }
@@ -685,17 +725,98 @@ struct Partial {
 /// Serial execution is the case "one range covering the input" (run
 /// inline by `try_parallel_map`), so the answer of a query — group order,
 /// float rounding, overflow — depends on `(rows, morsel_rows)` alone.
+///
+/// Over an inner equi-join reached through pass-through projections, the
+/// ranges fold straight from the join's matches when the shape allows
+/// ([`fused_aggregate`]); otherwise the join is built and aggregated like
+/// any other input.
 fn execute_aggregate(
     input: &LogicalPlan,
     group: &[(Expr, String)],
     aggregates: &[(Expr, String)],
     ctx: &ExecContext<'_>,
 ) -> Result<Arc<Table>> {
-    let table = execute(input, ctx)?;
+    let table = match pass_through_join(input).filter(|_| ctx.vectorized) {
+        Some((
+            projects,
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                right_label,
+            },
+        )) => {
+            let m = match_join(left, right, on, ctx)?;
+            if let Some(out) = fused_aggregate(&m, right_label, &projects, group, aggregates, ctx)?
+            {
+                if let Some(metrics) = ctx.metrics {
+                    metrics.add_aggregate_fused();
+                }
+                return Ok(out);
+            }
+            let ops: Vec<PipeOp<'_>> = projects.iter().rev().map(|p| PipeOp::Project(p)).collect();
+            run_pipeline(m.materialize(right_label)?, &ops, ctx)?
+        }
+        _ => execute(input, ctx)?,
+    };
     let in_schema = &table.schema;
+    let specs = agg_specs(aggregates, in_schema)?;
 
-    // Decompose aggregate expressions.
-    let specs: Vec<AggSpec> = aggregates
+    // Column-at-a-time: evaluate group keys and aggregate arguments as
+    // whole columns once, then fold rows over the materialized columns.
+    let group_cols: Vec<Column> = group
+        .iter()
+        .map(|(ge, _)| eval_expr_opts(ge, &table, &ctx.eval_opts()))
+        .collect::<Result<_>>()?;
+    let arg_cols: Vec<Option<Column>> = specs
+        .iter()
+        .map(|s| {
+            s.arg
+                .as_ref()
+                .map(|a| eval_expr_opts(a, &table, &ctx.eval_opts()))
+                .transpose()
+        })
+        .collect::<Result<_>>()?;
+    let arg_cols: Vec<Option<&Column>> = arg_cols.iter().map(Option::as_ref).collect();
+    let groups = fold_ranges(table.num_rows(), ctx, |rows| {
+        accumulate(rows, &group_cols, &arg_cols, &specs, ctx.vectorized)
+    })?;
+    let schema = agg_schema(group, aggregates, in_schema)?;
+    Ok(Arc::new(finish_groups(schema, &groups)?))
+}
+
+/// Cut `n_rows` input rows into the aggregate's ranges — one range
+/// serially, [`morsel_ranges`] otherwise — fold each into a [`Partial`]
+/// with `partial`, and merge the partials in range order.
+fn fold_ranges(
+    n_rows: usize,
+    ctx: &ExecContext<'_>,
+    partial: impl Fn(Range<usize>) -> Result<Partial> + Sync,
+) -> Result<Groups> {
+    let ranges = if ctx.parallelism <= 1 || n_rows <= ctx.morsel_rows {
+        vec![(0, n_rows)]
+    } else {
+        morsel_ranges(n_rows, ctx.morsel_rows)
+    };
+    let parallel = ranges.len() > 1;
+    if parallel {
+        ctx.count_parallel(ranges.len());
+    }
+    let results = try_parallel_map(&ranges, ctx.parallelism, |&(off, len)| {
+        partial(off..off + len)
+    });
+    let partials = join_morsels(results)?;
+    let merge_started = Instant::now();
+    let groups = merge_partials(partials)?;
+    if parallel {
+        ctx.count_merge(merge_started);
+    }
+    Ok(groups)
+}
+
+/// Decompose the aggregate calls against the schema the aggregate reads.
+fn agg_specs(aggregates: &[(Expr, String)], in_schema: &Schema) -> Result<Vec<AggSpec>> {
+    aggregates
         .iter()
         .map(|(e, _)| match e {
             Expr::Aggregate {
@@ -718,56 +839,271 @@ fn execute_aggregate(
                 "non-aggregate expression {other} in aggregate node"
             ))),
         })
-        .collect::<Result<_>>()?;
+        .collect()
+}
 
-    // Column-at-a-time: evaluate group keys and aggregate arguments as
-    // whole columns once, then fold rows over the materialized columns.
-    let group_cols: Vec<Column> = group
-        .iter()
-        .map(|(ge, _)| eval_expr_opts(ge, &table, &ctx.eval_opts()))
-        .collect::<Result<_>>()?;
-    let arg_cols: Vec<Option<Column>> = specs
-        .iter()
-        .map(|s| {
-            s.arg
-                .as_ref()
-                .map(|a| eval_expr_opts(a, &table, &ctx.eval_opts()))
-                .transpose()
-        })
-        .collect::<Result<_>>()?;
-
-    let n_rows = table.num_rows();
-    let ranges = if ctx.parallelism <= 1 || n_rows <= ctx.morsel_rows {
-        vec![(0, n_rows)]
-    } else {
-        morsel_ranges(n_rows, ctx.morsel_rows)
-    };
-    let parallel = ranges.len() > 1;
-    if parallel {
-        ctx.count_parallel(ranges.len());
-    }
-    let results = try_parallel_map(&ranges, ctx.parallelism, |&(off, len)| {
-        accumulate(
-            off..off + len,
-            &group_cols,
-            &arg_cols,
-            &specs,
-            ctx.vectorized,
-        )
-    });
-    let partials = join_morsels(results)?;
-    let merge_started = Instant::now();
-    let groups = merge_partials(partials)?;
-    if parallel {
-        ctx.count_merge(merge_started);
-    }
-
+/// The aggregate's output schema: group columns, then one per aggregate.
+fn agg_schema(
+    group: &[(Expr, String)],
+    aggregates: &[(Expr, String)],
+    in_schema: &Schema,
+) -> Result<Schema> {
     let mut fields = Vec::with_capacity(group.len() + aggregates.len());
     for (e, name) in group.iter().chain(aggregates) {
         fields.push(Field::nullable(name, infer_type(e, in_schema)?));
     }
-    let schema = Schema::new(fields).map_err(QueryError::Store)?;
-    Ok(Arc::new(finish_groups(schema, &groups)?))
+    Schema::new(fields).map_err(QueryError::Store)
+}
+
+/// A Project's `(expression, output name)` list.
+type Projection = [(Expr, String)];
+
+/// `input` as zero or more Projects that only pass columns through, above
+/// a Join: the projections' expression lists (outermost first) and the
+/// join node.
+fn pass_through_join(input: &LogicalPlan) -> Option<(Vec<&Projection>, &LogicalPlan)> {
+    let mut projects = Vec::new();
+    let mut node = input;
+    loop {
+        match node {
+            LogicalPlan::Project { input, exprs }
+                if exprs.iter().all(|(e, _)| matches!(e, Expr::Column(_))) =>
+            {
+                projects.push(exprs.as_slice());
+                node = input;
+            }
+            LogicalPlan::Join { .. } => return Some((projects, node)),
+            _ => return None,
+        }
+    }
+}
+
+/// The schema the projections (outermost first) over the joined table
+/// would produce, and per field the join output column it passes through.
+/// Names resolve exactly as the materialized path resolves them, against
+/// [`Schema::join`]'s output; `None` where that path would fail (it then
+/// raises the error).
+fn pass_through_schema(
+    m: &JoinMatches,
+    right_label: &str,
+    projects: &[&Projection],
+) -> Option<(Schema, Vec<usize>)> {
+    let mut schema = m.left.schema.join(&m.right.schema, right_label).ok()?;
+    let mut origin: Vec<usize> = (0..schema.len()).collect();
+    for exprs in projects.iter().rev() {
+        let mut fields = Vec::with_capacity(exprs.len());
+        let mut next = Vec::with_capacity(exprs.len());
+        for (e, alias) in exprs.iter() {
+            let Expr::Column(name) = e else { return None };
+            let i = resolve_column(&schema, name)?;
+            fields.push(Field::nullable(alias, schema.fields[i].data_type));
+            next.push(origin[i]);
+        }
+        schema = Schema::new(fields).ok()?;
+        origin = next;
+    }
+    Some((schema, origin))
+}
+
+/// The aggregate folded straight from an inner equi-join's matches; the
+/// joined table is never built. `None` (build it instead) unless every
+/// group expression reads only build-side columns and every aggregate
+/// argument only probe-side ones (or is `COUNT(*)`); a computed argument
+/// also needs every probe row to join, so that no row the join drops is
+/// evaluated.
+///
+/// The answer is the materialized path's, to the bit: the virtual joined
+/// rows are cut at the same ranges and each range visits them in emission
+/// order — the match runs in order — so it folds into the same
+/// [`Partial`]. A row's group values are those of its build row, from the
+/// group expressions evaluated once over the matched build rows in
+/// first-appearance order; its argument values are its probe row's, bare
+/// columns borrowed. Both evaluations meet the materialized path's first
+/// failing row first, so errors agree too.
+fn fused_aggregate(
+    m: &JoinMatches,
+    right_label: &str,
+    projects: &[&Projection],
+    group: &[(Expr, String)],
+    aggregates: &[(Expr, String)],
+    ctx: &ExecContext<'_>,
+) -> Result<Option<Arc<Table>>> {
+    let Some((in_schema, origin)) = pass_through_schema(m, right_label, projects) else {
+        return Ok(None);
+    };
+    let (Ok(specs), Ok(out_schema)) = (
+        agg_specs(aggregates, &in_schema),
+        agg_schema(group, aggregates, &in_schema),
+    ) else {
+        return Ok(None);
+    };
+    let (build, probe) = m.sides();
+    // An input field's join column as (on the build side?, index there).
+    let n_left = m.left.num_columns();
+    let side_of = |field: usize| match origin[field].checked_sub(n_left) {
+        None => (m.build_is_left, origin[field]),
+        Some(j) => (!m.build_is_left, j),
+    };
+    // The input fields `e` reads, if it reads some and all on one side.
+    let reads = |e: &Expr, on_build: bool| -> Option<Vec<usize>> {
+        let mut names = Vec::new();
+        e.columns_used(&mut names);
+        let fields: Vec<usize> = names
+            .iter()
+            .map(|n| resolve_column(&in_schema, n))
+            .collect::<Option<_>>()?;
+        let one_side = !fields.is_empty() && fields.iter().all(|&f| side_of(f).0 == on_build);
+        one_side.then_some(fields)
+    };
+    let Some(group_fields) = group
+        .iter()
+        .map(|(e, _)| reads(e, true))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Ok(None);
+    };
+    let Some(arg_fields) = specs
+        .iter()
+        .map(|s| match &s.arg {
+            None => Some(None),
+            Some(a) => reads(a, false).map(Some),
+        })
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Ok(None);
+    };
+    let computed = |s: &AggSpec| {
+        s.arg
+            .as_ref()
+            .is_some_and(|a| !matches!(a, Expr::Column(_)))
+    };
+    if specs.iter().any(computed) && !m.joins_every_probe_row() {
+        return Ok(None);
+    }
+
+    // The matched build rows in first-appearance order along the emission
+    // order, and each one's group.
+    let mut first_of = vec![u32::MAX; build.num_rows()];
+    let mut firsts = Vec::new();
+    for r in &m.runs {
+        if first_of[r.build] == u32::MAX {
+            first_of[r.build] = firsts.len() as u32;
+            firsts.push(r.build);
+        }
+    }
+    let matched = side_table(
+        build,
+        &in_schema,
+        group_fields.concat(),
+        &side_of,
+        Some(&firsts),
+    )?;
+    let group_cols: Vec<Column> = group
+        .iter()
+        .map(|(e, _)| eval_expr_opts(e, &matched, &ctx.eval_opts()))
+        .collect::<Result<_>>()?;
+    let mut all_groups = Vec::new();
+    let gid = group_ids(0..firsts.len(), &group_cols, &mut all_groups)?;
+
+    // Arguments over the probe rows: bare columns borrowed, computed ones
+    // evaluated over the whole (entirely joined) probe side.
+    let probe_fields: Vec<usize> = specs
+        .iter()
+        .zip(&arg_fields)
+        .filter(|(s, _)| computed(s))
+        .flat_map(|(_, f)| f.iter().flatten().copied())
+        .collect();
+    let probe_view = side_table(probe, &in_schema, probe_fields, &side_of, None)?;
+    let evaluated: Vec<Option<Column>> = specs
+        .iter()
+        .map(|s| match &s.arg {
+            Some(a) if computed(s) => eval_expr_opts(a, &probe_view, &ctx.eval_opts()).map(Some),
+            _ => Ok(None),
+        })
+        .collect::<Result<_>>()?;
+    let arg_cols: Vec<Option<&Column>> = arg_fields
+        .iter()
+        .zip(&evaluated)
+        .map(|(fields, eval)| match (fields, eval) {
+            (_, Some(col)) => Some(col),
+            (Some(f), None) => Some(&probe.columns[side_of(f[0]).1]),
+            (None, None) => None,
+        })
+        .collect();
+
+    // Each run's virtual end row in the joined output.
+    let ends: Vec<usize> = m
+        .runs
+        .iter()
+        .scan(0, |end, r| {
+            *end += r.len;
+            Some(*end)
+        })
+        .collect();
+    let n_rows = ends.last().copied().unwrap_or(0);
+    let groups = fold_ranges(n_rows, ctx, |rows| {
+        let mut local = vec![u32::MAX; all_groups.len()];
+        let mut gvals = Vec::new();
+        if group.is_empty() {
+            // A global aggregate has its one group even over zero rows.
+            local[0] = 0;
+            gvals.push(Vec::new());
+        }
+        let mut runs = Vec::new();
+        let first = ends.partition_point(|&end| end <= rows.start);
+        for (run, &end) in m.runs[first..].iter().zip(&ends[first..]) {
+            let start = end - run.len;
+            if start >= rows.end {
+                break;
+            }
+            let t = first_of[run.build] as usize;
+            let g = gid[t] as usize;
+            if local[g] == u32::MAX {
+                local[g] = gvals.len() as u32;
+                let vals = group_cols.iter().map(|c| c.get(t));
+                gvals.push(
+                    vals.collect::<lazyetl_store::Result<_>>()
+                        .map_err(QueryError::Store)?,
+                );
+            }
+            let (a, b) = (start.max(rows.start), end.min(rows.end));
+            push_run(&mut runs, run.probe + (a - start), b - a, local[g]);
+        }
+        fold_runs(gvals, &runs, &arg_cols, &specs, true)
+    })?;
+    Ok(Some(Arc::new(finish_groups(out_schema, &groups)?)))
+}
+
+/// Input fields (deduplicated) as a table over one side of the join: that
+/// side's columns under the names the aggregate reads them by, at `rows`
+/// (all rows when `None`).
+fn side_table(
+    side: &Table,
+    in_schema: &Schema,
+    mut fields: Vec<usize>,
+    side_of: &impl Fn(usize) -> (bool, usize),
+    rows: Option<&[usize]>,
+) -> Result<Table> {
+    fields.sort_unstable();
+    fields.dedup();
+    let columns = fields
+        .iter()
+        .map(|&f| {
+            let col = &side.columns[side_of(f).1];
+            match rows {
+                Some(rows) => col.take(rows),
+                None => Ok(col.clone()),
+            }
+        })
+        .collect::<lazyetl_store::Result<_>>()
+        .map_err(QueryError::Store)?;
+    let schema = Schema::new(
+        fields
+            .iter()
+            .map(|&f| in_schema.fields[f].clone())
+            .collect(),
+    );
+    Table::new(schema.map_err(QueryError::Store)?, columns).map_err(QueryError::Store)
 }
 
 /// Give every row of `rows` the id of its local group under a single
@@ -799,39 +1135,93 @@ fn group_by_typed_key<K: Hash + Eq>(
     Ok(group_of_row)
 }
 
-/// Accumulate the rows of `rows` into fresh local group states, groups in
-/// first-appearance order. The keying specializations (global; one `Utf8`
-/// column hashed by `&str`; one integer-family column hashed by `i64`)
-/// only change how a row finds its group, never which group it finds; the
-/// generic path boxes a `Vec<GroupKey>` per row.
-fn accumulate(
-    rows: std::ops::Range<usize>,
+/// Give every row of `rows` the id of its group under `group_cols`, ids in
+/// first-appearance order, pushing each new group's values onto `gvals`.
+/// A global aggregate (no columns) has its one group even over zero rows.
+/// The keying specializations (one `Utf8` column hashed by `&str`; one
+/// integer-family column hashed by `i64`) only change how a row finds its
+/// group, never which group it finds; the generic path boxes a
+/// `Vec<GroupKey>` per row.
+fn group_ids(
+    rows: Range<usize>,
     group_cols: &[Column],
-    arg_cols: &[Option<Column>],
+    gvals: &mut Vec<Vec<Value>>,
+) -> Result<Vec<u32>> {
+    use lazyetl_store::ColumnData as CD;
+    match group_cols {
+        [] => {
+            gvals.push(Vec::new());
+            Ok(vec![0; rows.len()])
+        }
+        [col] => match col.data() {
+            CD::Utf8(v) => group_by_typed_key(rows, col, |r| v[r].as_str(), gvals),
+            CD::Int64(v) | CD::Timestamp(v) => group_by_typed_key(rows, col, |r| v[r], gvals),
+            CD::Int32(v) => group_by_typed_key(rows, col, |r| v[r], gvals),
+            _ => group_by_boxed_key(rows, group_cols, gvals),
+        },
+        _ => group_by_boxed_key(rows, group_cols, gvals),
+    }
+}
+
+/// Accumulate the rows of `rows` into fresh local group states, groups in
+/// first-appearance order: each row is a run of its group, and adjacent
+/// rows of one group share a run.
+fn accumulate(
+    rows: Range<usize>,
+    group_cols: &[Column],
+    arg_cols: &[Option<&Column>],
+    specs: &[AggSpec],
+    vectorized: bool,
+) -> Result<Partial> {
+    let mut gvals = Vec::new();
+    let gids = group_ids(rows.clone(), group_cols, &mut gvals)?;
+    let mut runs = Vec::new();
+    for (row, &g) in rows.zip(&gids) {
+        push_run(&mut runs, row, 1, g);
+    }
+    fold_runs(gvals, &runs, arg_cols, specs, vectorized)
+}
+
+/// Consecutive argument rows `start..start + len` that all fold into local
+/// group `group`.
+#[derive(Debug, Clone, Copy)]
+struct GroupRun {
+    start: usize,
+    len: usize,
+    group: u32,
+}
+
+/// Append a run, extending the last one when it continues it.
+fn push_run(runs: &mut Vec<GroupRun>, start: usize, len: usize, group: u32) {
+    match runs.last_mut() {
+        Some(last) if last.group == group && last.start + last.len == start => last.len += len,
+        _ => runs.push(GroupRun { start, len, group }),
+    }
+}
+
+/// The non-NULL values of `data[rows]`, in row order (`data` is `col`'s
+/// payload).
+fn live<'c, T>(data: &'c [T], col: &'c Column, rows: Range<usize>) -> impl Iterator<Item = &'c T> {
+    let valid = col.validity().map(|v| &v[rows.clone()]);
+    data[rows]
+        .iter()
+        .enumerate()
+        .filter(move |&(i, _)| valid.is_none_or(|v| v[i]))
+        .map(|(_, x)| x)
+}
+
+/// Fold `runs` (in row order) into fresh accumulators for the groups of
+/// `gvals`: the one accumulation loop. Per accumulator the values arrive
+/// in row order whatever the run boundaries, so a run is exactly the
+/// per-row updates it replaces.
+fn fold_runs(
+    gvals: Vec<Vec<Value>>,
+    runs: &[GroupRun],
+    arg_cols: &[Option<&Column>],
     specs: &[AggSpec],
     vectorized: bool,
 ) -> Result<Partial> {
     use lazyetl_store::ColumnData as CD;
-    let off = rows.start;
-    let mut gvals: Vec<Vec<Value>> = Vec::new();
-    let group_of_row: Vec<u32> = match group_cols {
-        // A global aggregate has its one group even over zero rows.
-        [] => {
-            gvals.push(Vec::new());
-            vec![0; rows.len()]
-        }
-        [col] => match col.data() {
-            CD::Utf8(v) => group_by_typed_key(rows.clone(), col, |r| v[r].as_str(), &mut gvals)?,
-            CD::Int64(v) | CD::Timestamp(v) => {
-                group_by_typed_key(rows.clone(), col, |r| v[r], &mut gvals)?
-            }
-            CD::Int32(v) => group_by_typed_key(rows.clone(), col, |r| v[r], &mut gvals)?,
-            _ => group_by_boxed_key(rows.clone(), group_cols, &mut gvals)?,
-        },
-        _ => group_by_boxed_key(rows.clone(), group_cols, &mut gvals)?,
-    };
-    let gid = |row: usize| group_of_row[row - off] as usize;
-
     let mut accs: Vec<Vec<Accumulator>> = gvals
         .iter()
         .map(|_| {
@@ -847,60 +1237,55 @@ fn accumulate(
         .collect();
 
     // One aggregate (= one argument column) at a time. With vectorized
-    // execution on, a typed column sweeps through the matching `update_*`
-    // method: the accumulator reads raw slice values and never boxes a
-    // `Value` per row. DISTINCT aggregates, `Bool` columns and the
-    // non-vectorized ablation take the boxed loop.
+    // execution on, a typed column sweeps each run's slice through the
+    // matching `update_*_slice` method: the accumulator reads raw values
+    // and never boxes a `Value` per row. DISTINCT aggregates, `Bool`
+    // columns and the non-vectorized ablation take the boxed loop.
     for (i, arg_col) in arg_cols.iter().enumerate() {
         if let Some(firsts) = &mut distinct_firsts[i] {
             // Deduplicate within the range; `merge_partials` deduplicates
             // across ranges and does the updates.
             let mut seen: Vec<HashSet<GroupKey>> = vec![HashSet::new(); gvals.len()];
-            for row in rows.clone() {
-                let v = match arg_col {
-                    None => Value::Int64(1),
-                    Some(col) => col.get(row).map_err(QueryError::Store)?,
-                };
-                if !v.is_null() && seen[gid(row)].insert(v.group_key()) {
-                    firsts[gid(row)].push(v);
+            for run in runs {
+                let g = run.group as usize;
+                for row in run.start..run.start + run.len {
+                    let v = match arg_col {
+                        None => Value::Int64(1),
+                        Some(col) => col.get(row).map_err(QueryError::Store)?,
+                    };
+                    if !v.is_null() && seen[g].insert(v.group_key()) {
+                        firsts[g].push(v);
+                    }
                 }
             }
             continue;
         }
-        let Some(col) = arg_col else {
-            // COUNT(*): every row counts one.
-            for row in rows.clone() {
-                accs[gid(row)][i].update(&Value::Int64(1))?;
-            }
-            continue;
-        };
-        let live = rows.clone().filter(|&row| !col.is_null(row));
-        match col.data() {
-            CD::Int64(data) | CD::Timestamp(data) if vectorized => {
-                let dt = col.data_type();
-                for row in live {
-                    accs[gid(row)][i].update_i64(data[row], dt)?;
+        for run in runs {
+            let acc = &mut accs[run.group as usize][i];
+            let rows = run.start..run.start + run.len;
+            let Some(col) = arg_col else {
+                // COUNT(*): every row counts one.
+                acc.update_i64_slice(std::iter::repeat_n(1, run.len), DataType::Int64);
+                continue;
+            };
+            match col.data() {
+                CD::Int64(data) | CD::Timestamp(data) if vectorized => {
+                    acc.update_i64_slice(live(data, col, rows).copied(), col.data_type())
                 }
-            }
-            CD::Int32(data) if vectorized => {
-                for row in live {
-                    accs[gid(row)][i].update_i64(data[row] as i64, DataType::Int32)?;
+                CD::Int32(data) if vectorized => acc.update_i64_slice(
+                    live(data, col, rows).map(|&x| i64::from(x)),
+                    DataType::Int32,
+                ),
+                CD::Float64(data) if vectorized => {
+                    acc.update_f64_slice(live(data, col, rows).copied())
                 }
-            }
-            CD::Float64(data) if vectorized => {
-                for row in live {
-                    accs[gid(row)][i].update_f64(data[row]);
+                CD::Utf8(data) if vectorized => {
+                    acc.update_str_slice(live(data, col, rows).map(String::as_str))
                 }
-            }
-            CD::Utf8(data) if vectorized => {
-                for row in live {
-                    accs[gid(row)][i].update_str(&data[row]);
-                }
-            }
-            _ => {
-                for row in rows.clone() {
-                    let v = col.get(row).map_err(QueryError::Store)?;
-                    accs[gid(row)][i].update(&v)?;
+                _ => {
+                    for row in rows {
+                        acc.update(&col.get(row).map_err(QueryError::Store)?)?;
+                    }
                 }
             }
         }
@@ -1089,63 +1474,157 @@ fn execute_join(
     right_label: &str,
     ctx: &ExecContext<'_>,
 ) -> Result<Arc<Table>> {
+    match_join(left, right, on, ctx)?.materialize(right_label)
+}
+
+/// Probe rows `probe..probe + len`, each matched with build row `build`.
+/// Ordering runs by `(probe, build)` is the serial emission order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct MatchRun {
+    probe: usize,
+    build: usize,
+    len: usize,
+}
+
+/// An inner equi-join's executed inputs and its matches as runs in the
+/// canonical emission order: probe order, build-row order within a probe
+/// row.
+struct JoinMatches {
+    left: Arc<Table>,
+    right: Arc<Table>,
+    /// The smaller input is the build side; output rows are still (left
+    /// row, right row), so the schema is unaffected.
+    build_is_left: bool,
+    runs: Vec<MatchRun>,
+}
+
+impl JoinMatches {
+    /// `(build, probe)` inputs.
+    fn sides(&self) -> (&Table, &Table) {
+        if self.build_is_left {
+            (&self.left, &self.right)
+        } else {
+            (&self.right, &self.left)
+        }
+    }
+
+    /// True when every probe row matches at least one build row.
+    fn joins_every_probe_row(&self) -> bool {
+        // Runs ascend in probe order; a gap is an unmatched row.
+        let mut next = 0;
+        for r in &self.runs {
+            if r.probe > next {
+                return false;
+            }
+            next = next.max(r.probe + r.len);
+        }
+        next == self.sides().1.num_rows()
+    }
+
+    /// The joined table: the runs expanded into the row indices each side
+    /// is gathered with.
+    fn materialize(&self, right_label: &str) -> Result<Arc<Table>> {
+        let total = self.runs.iter().map(|r| r.len).sum();
+        let (mut probe_idx, mut build_idx) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        for r in &self.runs {
+            probe_idx.extend(r.probe..r.probe + r.len);
+            build_idx.extend(std::iter::repeat_n(r.build, r.len));
+        }
+        let (left_idx, right_idx) = if self.build_is_left {
+            (build_idx, probe_idx)
+        } else {
+            (probe_idx, build_idx)
+        };
+        let lout = self.left.take(&left_idx).map_err(QueryError::Store)?;
+        let rout = self.right.take(&right_idx).map_err(QueryError::Store)?;
+        let schema = lout
+            .schema
+            .join(&rout.schema, right_label)
+            .map_err(QueryError::Store)?;
+        let mut columns = lout.columns;
+        columns.extend(rout.columns);
+        Ok(Arc::new(
+            Table::new(schema, columns).map_err(QueryError::Store)?,
+        ))
+    }
+}
+
+/// Execute both inputs of an inner equi-join and match them. The hash
+/// lookup is done once per run of consecutive probe rows with equal
+/// integer keys; other keys take the `GroupKey` path one row at a time.
+fn match_join(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    on: &[(Expr, Expr)],
+    ctx: &ExecContext<'_>,
+) -> Result<JoinMatches> {
     let lt = execute(left, ctx)?;
     let rt = execute(right, ctx)?;
-    // Column-at-a-time: materialize the key columns of both sides once.
-    let right_keys: Vec<Column> = on
-        .iter()
-        .map(|(_, re)| eval_expr_opts(re, &rt, &ctx.eval_opts()))
-        .collect::<Result<_>>()?;
-    let left_keys: Vec<Column> = on
-        .iter()
-        .map(|(le, _)| eval_expr_opts(le, &lt, &ctx.eval_opts()))
-        .collect::<Result<_>>()?;
-
-    // Build on the smaller input, probe the larger; emitted index pairs
-    // are always (left row, right row) so the output schema is unaffected.
+    // Build on the smaller input, probe the larger.
     let build_is_left = lt.num_rows() < rt.num_rows();
-    let (bt, bkeys, pt, pkeys) = if build_is_left {
-        (&lt, &left_keys, &rt, &right_keys)
+    let (n_build, n_probe) = if build_is_left {
+        (lt.num_rows(), rt.num_rows())
     } else {
-        (&rt, &right_keys, &lt, &left_keys)
+        (rt.num_rows(), lt.num_rows())
     };
-    let packed = if ctx.vectorized {
-        pack_int_keys(bkeys, pkeys)
-    } else {
-        None
-    };
-    let (probe_idx, build_idx) = match packed {
-        // All keys integer-typed (the file_id/seq_no joins of the
-        // warehouse schema): hash on packed native integers.
-        Some((bk, pk)) => hash_join_pairs(&bk, &pk, ctx)?,
-        // Generic path: normalized GroupKey vectors.
-        None => {
-            let bk = group_key_rows(bkeys, bt.num_rows())?;
-            let pk = group_key_rows(pkeys, pt.num_rows())?;
-            hash_join_pairs(&bk, &pk, ctx)?
+    let runs = {
+        // Column-at-a-time: the key columns of both sides, once.
+        let right_keys: Vec<Cow<'_, Column>> = on
+            .iter()
+            .map(|(_, re)| key_column(re, &rt, ctx))
+            .collect::<Result<_>>()?;
+        let left_keys: Vec<Cow<'_, Column>> = on
+            .iter()
+            .map(|(le, _)| key_column(le, &lt, ctx))
+            .collect::<Result<_>>()?;
+        let (bkeys, pkeys) = if build_is_left {
+            (&left_keys, &right_keys)
+        } else {
+            (&right_keys, &left_keys)
+        };
+        let bkeys: Vec<&Column> = bkeys.iter().map(|c| &**c).collect();
+        let pkeys: Vec<&Column> = pkeys.iter().map(|c| &**c).collect();
+        let packed = if ctx.vectorized {
+            pack_int_keys(&bkeys, &pkeys)
+        } else {
+            None
+        };
+        match packed {
+            // All keys integer-typed (the file_id/seq_no joins of the
+            // warehouse schema): hash on packed native integers.
+            Some((bk, pk)) => hash_join_runs(&bk, &pk, n_probe, ctx)?,
+            // Generic path: normalized GroupKey vectors, runs of one row.
+            None => {
+                let pk = ProbeRuns {
+                    starts: (0..n_probe).collect(),
+                    keys: group_key_rows(&pkeys, n_probe)?,
+                };
+                hash_join_runs(&group_key_rows(&bkeys, n_build)?, &pk, n_probe, ctx)?
+            }
         }
     };
-    let (left_idx, right_idx) = if build_is_left {
-        (build_idx, probe_idx)
-    } else {
-        (probe_idx, build_idx)
-    };
-    let lout = lt.take(&left_idx).map_err(QueryError::Store)?;
-    let rout = rt.take(&right_idx).map_err(QueryError::Store)?;
-    let schema = lout
-        .schema
-        .join(&rout.schema, right_label)
-        .map_err(QueryError::Store)?;
-    let mut columns = lout.columns;
-    columns.extend(rout.columns);
-    Ok(Arc::new(
-        Table::new(schema, columns).map_err(QueryError::Store)?,
-    ))
+    Ok(JoinMatches {
+        left: lt,
+        right: rt,
+        build_is_left,
+        runs,
+    })
+}
+
+/// One join key as a column of `table`: a bare column is borrowed, not
+/// copied (the vectorized path); anything else is evaluated.
+fn key_column<'t>(e: &Expr, table: &'t Table, ctx: &ExecContext<'_>) -> Result<Cow<'t, Column>> {
+    if let (Expr::Column(name), true) = (e, ctx.vectorized) {
+        if let Some(i) = resolve_column(&table.schema, name) {
+            return Ok(Cow::Borrowed(&table.columns[i]));
+        }
+    }
+    eval_expr_opts(e, table, &ctx.eval_opts()).map(Cow::Owned)
 }
 
 /// Per-row normalized join keys for one side; `None` marks a row with a
 /// NULL key component (which never joins).
-fn group_key_rows(cols: &[Column], rows: usize) -> Result<Vec<Option<Vec<GroupKey>>>> {
+fn group_key_rows(cols: &[&Column], rows: usize) -> Result<Vec<Option<Vec<GroupKey>>>> {
     (0..rows)
         .map(|row| {
             let mut key = Vec::with_capacity(cols.len());
@@ -1161,22 +1640,52 @@ fn group_key_rows(cols: &[Column], rows: usize) -> Result<Vec<Option<Vec<GroupKe
         .collect()
 }
 
-/// Hash-join two sides' per-row keys into matched `(probe row, build
-/// row)` index vectors, in **probe order** (and build-row order within a
-/// probe row) — the canonical serial emission order.
+/// Probe-side join keys, one per run of consecutive probe rows with equal
+/// keys: run `i` covers rows `starts[i]..starts[i + 1]` (the last one runs
+/// to the end of the probe side).
+struct ProbeRuns<K> {
+    starts: Vec<usize>,
+    keys: Vec<Option<K>>,
+}
+
+/// Hash-join build rows' keys against probe runs' keys into [`MatchRun`]s
+/// in **probe order** (and build-row order within a probe row) — the
+/// canonical serial emission order. A probe run is looked up once; with
+/// exactly one match it stays one run, otherwise it expands row-major
+/// into one-row runs.
 ///
 /// With parallelism, both sides partition by a deterministic key hash;
 /// each worker builds and probes one partition independently (a key
 /// lands in exactly one partition, so no matches are lost or
-/// duplicated), and the merged pairs are sorted back into the serial
+/// duplicated), and the merged runs are sorted back into the serial
 /// emission order — the output is identical to the serial loop for any
 /// partition count.
-fn hash_join_pairs<K: Hash + Eq + Sync>(
+fn hash_join_runs<K: Hash + Eq + Sync>(
     bk: &[Option<K>],
-    pk: &[Option<K>],
+    pk: &ProbeRuns<K>,
+    n_probe: usize,
     ctx: &ExecContext<'_>,
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    if ctx.parallelism <= 1 || pk.len().max(bk.len()) <= ctx.morsel_rows {
+) -> Result<Vec<MatchRun>> {
+    let emit = |out: &mut Vec<MatchRun>, run: usize, matches: &[usize]| {
+        let end = pk.starts.get(run + 1).copied().unwrap_or(n_probe);
+        let rows = pk.starts[run]..end;
+        if let [build] = matches {
+            out.push(MatchRun {
+                probe: rows.start,
+                build: *build,
+                len: rows.len(),
+            });
+        } else {
+            for probe in rows {
+                out.extend(matches.iter().map(|&build| MatchRun {
+                    probe,
+                    build,
+                    len: 1,
+                }));
+            }
+        }
+    };
+    if ctx.parallelism <= 1 || n_probe.max(bk.len()) <= ctx.morsel_rows {
         // Serial reference path.
         let mut build: HashMap<&K, Vec<usize>> = HashMap::with_capacity(bk.len());
         for (row, key) in bk.iter().enumerate() {
@@ -1184,18 +1693,13 @@ fn hash_join_pairs<K: Hash + Eq + Sync>(
                 build.entry(k).or_default().push(row);
             }
         }
-        let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
-        for (row, key) in pk.iter().enumerate() {
-            if let Some(k) = key {
-                if let Some(matches) = build.get(k) {
-                    for &r in matches {
-                        probe_idx.push(row);
-                        build_idx.push(r);
-                    }
-                }
+        let mut out = Vec::new();
+        for (run, key) in pk.keys.iter().enumerate() {
+            if let Some(matches) = key.as_ref().and_then(|k| build.get(k)) {
+                emit(&mut out, run, matches);
             }
         }
-        return Ok((probe_idx, build_idx));
+        return Ok(out);
     }
 
     // `DefaultHasher::new()` hashes with fixed keys, so the partition of
@@ -1213,9 +1717,9 @@ fn hash_join_pairs<K: Hash + Eq + Sync>(
         }
     }
     let mut pparts: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (row, key) in pk.iter().enumerate() {
+    for (run, key) in pk.keys.iter().enumerate() {
         if let Some(k) = key {
-            pparts[part_of(k)].push(row);
+            pparts[part_of(k)].push(run);
         }
     }
     ctx.count_parallel(parts);
@@ -1226,42 +1730,60 @@ fn hash_join_pairs<K: Hash + Eq + Sync>(
             let k = bk[row].as_ref().expect("partitioned rows have keys");
             build.entry(k).or_default().push(row);
         }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for &row in &pparts[j] {
-            let k = pk[row].as_ref().expect("partitioned rows have keys");
+        let mut out = Vec::new();
+        for &run in &pparts[j] {
+            let k = pk.keys[run].as_ref().expect("partitioned runs have keys");
             if let Some(matches) = build.get(k) {
-                for &r in matches {
-                    pairs.push((row, r));
-                }
+                emit(&mut out, run, matches);
             }
         }
-        pairs
+        out
     });
     let merge_started = Instant::now();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut runs = Vec::new();
     for r in results {
         match r {
-            Ok(p) => pairs.extend(p),
+            Ok(p) => runs.extend(p),
             Err(p) => return Err(QueryError::Execution(p.to_string())),
         }
     }
-    // Per partition, pairs are already (probe ascending, build ascending)
+    // Per partition, runs are already (probe ascending, build ascending)
     // and a probe row's matches live in exactly one partition, so this
     // sort restores precisely the serial emission order.
-    pairs.sort_unstable();
-    let (probe_idx, build_idx) = pairs.into_iter().unzip();
+    runs.sort_unstable();
     ctx.count_merge(merge_started);
-    Ok((probe_idx, build_idx))
+    Ok(runs)
 }
 
-/// One packed `u128` per row; `None` marks a row with a NULL key.
+/// One packed `u128` per row (or run); `None` marks a NULL key.
 type PackedKeys = Vec<Option<u128>>;
 
 /// Borrowed-or-widened i64 views of one side's key columns.
-type KeySlices<'a> = [std::borrow::Cow<'a, [i64]>];
+type KeySlices<'a> = [Cow<'a, [i64]>];
 
-/// Pack the integer-typed join keys of **both** sides into one `u128` per
-/// row (`None` = a row with a NULL key, which never joins).
+/// First rows of the runs of consecutive rows whose key columns (`cols`,
+/// read through their i64 views `vals`) agree in value and NULL-ness.
+fn key_run_starts(cols: &[&Column], vals: &KeySlices<'_>) -> Vec<usize> {
+    let n = vals.first().map_or(0, |v| v.len());
+    // `changed[i]`: row `i + 1` differs from row `i` in some key column.
+    let mut changed = vec![false; n.saturating_sub(1)];
+    for (col, v) in cols.iter().zip(vals) {
+        for (c, w) in changed.iter_mut().zip(v.windows(2)) {
+            *c |= w[0] != w[1];
+        }
+        if let Some(valid) = col.validity() {
+            for (c, w) in changed.iter_mut().zip(valid.windows(2)) {
+                *c |= w[0] != w[1];
+            }
+        }
+    }
+    (0..n).filter(|&row| row == 0 || changed[row - 1]).collect()
+}
+
+/// Pack the integer-typed join keys of **both** sides into one `u128`:
+/// per build row, and per probe run — runs are found on the borrowed
+/// slices first, so only a run's first row is packed (`None` = a NULL key,
+/// which never joins).
 ///
 /// One or two keys pack as fixed 64-bit lanes. Three or more keys use a
 /// shared range encoding: per key, the min/max across *both* sides fixes
@@ -1271,30 +1793,32 @@ type KeySlices<'a> = [std::borrow::Cow<'a, [i64]>];
 /// observed key space — equal tuples collide exactly, distinct tuples
 /// never do. Returns `None` (→ generic `GroupKey` hashing) when any key
 /// column is non-integer or the widths exceed 128 bits.
-fn pack_int_keys(build: &[Column], probe: &[Column]) -> Option<(PackedKeys, PackedKeys)> {
-    use std::borrow::Cow;
+fn pack_int_keys(build: &[&Column], probe: &[&Column]) -> Option<(PackedKeys, ProbeRuns<u128>)> {
     if build.is_empty() {
         return None;
     }
-    let as_i64 = lazyetl_store::kernels::as_i64_slice;
-    let bvals: Vec<Cow<'_, [i64]>> = build.iter().map(as_i64).collect::<Option<_>>()?;
-    let pvals: Vec<Cow<'_, [i64]>> = probe.iter().map(as_i64).collect::<Option<_>>()?;
+    use lazyetl_store::kernels::as_i64_slice;
+    let bvals: Vec<Cow<'_, [i64]>> = build
+        .iter()
+        .map(|&c| as_i64_slice(c))
+        .collect::<Option<_>>()?;
+    let pvals: Vec<Cow<'_, [i64]>> = probe
+        .iter()
+        .map(|&c| as_i64_slice(c))
+        .collect::<Option<_>>()?;
     let k = build.len();
 
-    let rows = |cols: &[Column],
-                vals: &KeySlices<'_>,
-                pack: &dyn Fn(&KeySlices<'_>, usize) -> u128|
-     -> Vec<Option<u128>> {
-        let n = vals.first().map_or(0, |v| v.len());
-        (0..n)
-            .map(|row| {
-                if cols.iter().any(|c| c.is_null(row)) {
-                    None
-                } else {
-                    Some(pack(vals, row))
-                }
-            })
-            .collect()
+    let pack_sides = |pack: &dyn Fn(&KeySlices<'_>, usize) -> u128| {
+        let key = |cols: &[&Column], vals: &KeySlices<'_>, row: usize| {
+            (!cols.iter().any(|c| c.is_null(row))).then(|| pack(vals, row))
+        };
+        let n_build = bvals.first().map_or(0, |v| v.len());
+        let starts = key_run_starts(probe, &pvals);
+        let keys = starts.iter().map(|&row| key(probe, &pvals, row)).collect();
+        (
+            (0..n_build).map(|row| key(build, &bvals, row)).collect(),
+            ProbeRuns { starts, keys },
+        )
     };
 
     if k <= 2 {
@@ -1304,7 +1828,7 @@ fn pack_int_keys(build: &[Column], probe: &[Column]) -> Option<(PackedKeys, Pack
             let lo = vals.get(1).map_or(0, |v| v[row] as u64 as u128);
             hi << 64 | lo
         };
-        return Some((rows(build, &bvals, &pack), rows(probe, &pvals, &pack)));
+        return Some(pack_sides(&pack));
     }
 
     // ≥3 keys: range-encode. Min/max per key across both sides; a key's
@@ -1326,8 +1850,8 @@ fn pack_int_keys(build: &[Column], probe: &[Column]) -> Option<(PackedKeys, Pack
                 hi = hi.max(v);
             }
         };
-        fold(&build[i], &bvals[i]);
-        fold(&probe[i], &pvals[i]);
+        fold(build[i], &bvals[i]);
+        fold(probe[i], &pvals[i]);
         if lo > hi {
             // No non-NULL values on either side: nothing will join.
             (lo, hi) = (0, 0);
@@ -1349,7 +1873,7 @@ fn pack_int_keys(build: &[Column], probe: &[Column]) -> Option<(PackedKeys, Pack
         }
         acc
     };
-    Some((rows(build, &bvals, &pack), rows(probe, &pvals, &pack)))
+    Some(pack_sides(&pack))
 }
 
 // ---------------------------------------------------------------------------
@@ -1679,29 +2203,46 @@ mod tests {
             )
             .unwrap()
         };
+        let pack = |b: &[Column], p: &[Column]| {
+            let (b, p): (Vec<&Column>, Vec<&Column>) = (b.iter().collect(), p.iter().collect());
+            pack_int_keys(&b, &p)
+        };
         // Three keys with extreme-ish ranges still pack (≤128 bits total).
         let b = vec![col(&[1, 2]), col(&[10, 20]), col(&[-5, 5])];
         let p = vec![col(&[2]), col(&[20]), col(&[5])];
-        let (bk, pk) = pack_int_keys(&b, &p).unwrap();
-        assert_eq!(bk[1], pk[0], "equal tuples collide");
+        let (bk, pk) = pack(&b, &p).unwrap();
+        assert_eq!(bk[1], pk.keys[0], "equal tuples collide");
         assert_ne!(bk[0], bk[1], "distinct tuples do not");
+        // Probe rows with equal keys share one run and one packed key.
+        let p = vec![
+            col(&[2, 2, 1, 2]),
+            col(&[20, 20, 10, 20]),
+            col(&[5, 5, -5, 5]),
+        ];
+        let (_, pk) = pack(&b, &p).unwrap();
+        assert_eq!(pk.starts, vec![0, 2, 3]);
+        assert_eq!(pk.keys, vec![bk[1], bk[0], bk[1]]);
         // Three full-range i64 keys exceed 128 bits: generic fallback.
         let wide = vec![
             col(&[i64::MIN, i64::MAX]),
             col(&[i64::MIN, i64::MAX]),
             col(&[i64::MIN, i64::MAX]),
         ];
-        assert!(pack_int_keys(&wide, &wide).is_none());
-        // NULL keys never pack.
-        let withnull =
-            Column::from_values(DataType::Int64, &[Value::Int64(1), Value::Null]).unwrap();
-        let b = vec![withnull.clone(), col(&[7, 8]), col(&[0, 0])];
-        let (bk, _) = pack_int_keys(&b, &b).unwrap();
+        assert!(pack(&wide, &wide).is_none());
+        // NULL keys never pack, and a NULL ends a run of equal payloads.
+        let withnull = Column::from_values(
+            DataType::Int64,
+            &[Value::Int64(1), Value::Null, Value::Int64(0)],
+        )
+        .unwrap();
+        let b = vec![withnull.clone(), col(&[7, 8, 8]), col(&[0, 0, 0])];
+        let (bk, pk) = pack(&b, &b).unwrap();
         assert!(bk[0].is_some());
         assert!(bk[1].is_none());
+        assert_eq!(pk.starts, vec![0, 1, 2]);
         // Non-integer key type: no packing.
         let s = Column::from_values(DataType::Utf8, &[Value::Utf8("x".into())]).unwrap();
-        assert!(pack_int_keys(&[s.clone(), s.clone(), s], &[]).is_none());
+        assert!(pack(&[s.clone(), s.clone(), s], &[]).is_none());
         // NULL rows' zero padding must not widen lanes: three
         // large-magnitude keys still fit the 128-bit budget because the
         // NULL row is skipped when folding min/max.
@@ -1711,8 +2252,8 @@ mod tests {
         };
         let b = vec![nullable_big(0), nullable_big(1), nullable_big(2)];
         let p = vec![nullable_big(0), nullable_big(1), nullable_big(2)];
-        let (bk, pk) = pack_int_keys(&b, &p).expect("null padding must not widen lanes");
-        assert_eq!(bk[0], pk[0]);
+        let (bk, pk) = pack(&b, &p).expect("null padding must not widen lanes");
+        assert_eq!(bk[0], pk.keys[0]);
         assert!(bk[1].is_none(), "the NULL row still never packs");
     }
 

@@ -44,6 +44,9 @@ pub struct ExecMetrics {
     /// Sum of |estimated − actual| over costed plans: the cumulative
     /// cardinality-estimation error the stats frame reports.
     pub estimate_abs_error: AtomicU64,
+    /// Aggregates folded straight from a join's matches without building
+    /// the joined table.
+    pub aggregates_fused: AtomicU64,
 }
 
 impl ExecMetrics {
@@ -87,6 +90,11 @@ impl ExecMetrics {
         self.merge_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
+    #[inline]
+    pub(crate) fn add_aggregate_fused(&self) {
+        self.aggregates_fused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record one record-level pruning pass: whether the ordered time
     /// index served it, and how many entries it examined. Called by the
     /// warehouse's run-time rewriter (outside this crate).
@@ -123,6 +131,7 @@ impl ExecMetrics {
             estimated_rows: self.estimated_rows.load(Ordering::Relaxed),
             actual_rows: self.actual_rows.load(Ordering::Relaxed),
             estimate_abs_error: self.estimate_abs_error.load(Ordering::Relaxed),
+            aggregates_fused: self.aggregates_fused.load(Ordering::Relaxed),
         }
     }
 }
@@ -156,6 +165,8 @@ pub struct ExecCounters {
     pub actual_rows: u64,
     /// Cumulative |estimated − actual| over costed plans.
     pub estimate_abs_error: u64,
+    /// Aggregates folded from a join's matches without building it.
+    pub aggregates_fused: u64,
 }
 
 #[cfg(test)]
@@ -177,6 +188,7 @@ mod tests {
         m.add_index_prune(false, 9);
         m.add_estimate(100, 80);
         m.add_estimate(10, 30);
+        m.add_aggregate_fused();
         let s = m.snapshot();
         assert_eq!(s.rows_scanned, 15);
         assert_eq!(s.rows_pruned, 7);
@@ -191,5 +203,6 @@ mod tests {
         assert_eq!(s.estimated_rows, 110);
         assert_eq!(s.actual_rows, 110);
         assert_eq!(s.estimate_abs_error, 40, "errors do not cancel out");
+        assert_eq!(s.aggregates_fused, 1);
     }
 }

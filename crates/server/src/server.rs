@@ -529,6 +529,7 @@ impl Shared {
             ("warehouse.morsels_dispatched", w.exec.morsels_dispatched),
             ("warehouse.parallel_pipelines", w.exec.parallel_pipelines),
             ("warehouse.merge_ns", w.exec.merge_ns),
+            ("warehouse.aggregates_fused", w.exec.aggregates_fused),
             ("warehouse.index_seeks", w.exec.index_seeks),
             ("warehouse.index_rows_examined", w.exec.index_rows_examined),
             ("warehouse.plans_estimated", w.exec.plans_estimated),

@@ -408,6 +408,49 @@ impl Column {
         Ok(())
     }
 
+    /// One column holding every row of `parts` in order, allocated once at
+    /// the exact total length. The result equals appending the parts one
+    /// by one with [`Column::append_column`], validity mask included.
+    pub(crate) fn concat(dt: DataType, parts: &[&Column]) -> Result<Column> {
+        if let Some(bad) = parts.iter().find(|c| c.data_type() != dt) {
+            return Err(StoreError::TypeMismatch {
+                expected: dt.name().into(),
+                found: bad.data_type().name().into(),
+            });
+        }
+        let total: usize = parts.iter().map(|c| c.len()).sum();
+        macro_rules! gather {
+            ($variant:ident) => {{
+                let mut out = Vec::with_capacity(total);
+                for p in parts {
+                    if let ColumnData::$variant(v) = &p.data {
+                        out.extend_from_slice(v);
+                    }
+                }
+                ColumnData::$variant(out)
+            }};
+        }
+        let data = match dt {
+            DataType::Bool => gather!(Bool),
+            DataType::Int32 => gather!(Int32),
+            DataType::Int64 => gather!(Int64),
+            DataType::Float64 => gather!(Float64),
+            DataType::Utf8 => gather!(Utf8),
+            DataType::Timestamp => gather!(Timestamp),
+        };
+        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
+            let mut mask = Vec::with_capacity(total);
+            for p in parts {
+                match &p.validity {
+                    Some(v) => mask.extend_from_slice(v),
+                    None => mask.extend(std::iter::repeat_n(true, p.len())),
+                }
+            }
+            mask
+        });
+        Ok(Column { data, validity })
+    }
+
     /// Approximate heap footprint in bytes (used for cache budgeting).
     pub fn byte_size(&self) -> usize {
         let data = match &self.data {

@@ -134,6 +134,29 @@ impl Table {
         Ok(())
     }
 
+    /// One table holding every row of `parts` in order. Each column is
+    /// allocated once, at the exact total row count, so assembling many
+    /// parts never regrows a buffer the way repeated
+    /// [`Table::append_table`] does; the result is equal to it. Every part
+    /// must have exactly `schema`.
+    pub fn concat(schema: Schema, parts: &[&Table]) -> Result<Table> {
+        if parts.iter().any(|p| p.schema != schema) {
+            return Err(StoreError::Catalog(
+                "concat requires identical schemas".into(),
+            ));
+        }
+        let columns = schema
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let cols: Vec<&Column> = parts.iter().map(|p| &p.columns[i]).collect();
+                Column::concat(f.data_type, &cols)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Table { schema, columns })
+    }
+
     /// Keep rows where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> Result<Table> {
         let columns = self
@@ -318,6 +341,36 @@ mod tests {
         h.append_table(&t).unwrap();
         h.append_table(&f).unwrap();
         assert_eq!(h.num_rows(), 8);
+    }
+
+    #[test]
+    fn concat_equals_repeated_append() {
+        let mut t = Table::empty(station_schema());
+        for i in 0..4 {
+            let note = if i == 2 {
+                Value::Null
+            } else {
+                Value::Utf8("n".into())
+            };
+            t.append_row(vec![
+                Value::Utf8(format!("S{i}")),
+                Value::Float64(i as f64),
+                note,
+            ])
+            .unwrap();
+        }
+        let (a, b) = (t.slice(0, 1).unwrap(), t.slice(1, 3).unwrap());
+        let empty = Table::empty(station_schema());
+        let parts = [&a, &empty, &b, &a];
+        let mut appended = Table::empty(station_schema());
+        for p in parts {
+            appended.append_table(p).unwrap();
+        }
+        let concat = Table::concat(station_schema(), &parts).unwrap();
+        assert_eq!(concat, appended, "same rows and the same validity masks");
+        assert_eq!(Table::concat(station_schema(), &[]).unwrap().num_rows(), 0);
+        let other = Table::empty(Schema::new(vec![Field::new("x", DataType::Int32)]).unwrap());
+        assert!(Table::concat(station_schema(), &[&a, &other]).is_err());
     }
 
     #[test]

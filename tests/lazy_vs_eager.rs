@@ -225,6 +225,167 @@ fn direct_data_query_falls_back_to_full_scan() {
 }
 
 #[test]
+fn partially_cached_file_assembles_in_record_order() {
+    let repo = figure1_repo("order", 512);
+    let primed = Warehouse::open_lazy(&repo.root, no_refresh_config()).unwrap();
+    let files = primed
+        .query(
+            "SELECT uri FROM mseed.files WHERE station = 'ISK' AND channel = 'BHE' \
+             ORDER BY start_time LIMIT 1",
+        )
+        .unwrap();
+    let uri = files.table.row(0).unwrap()[0].as_str().unwrap().to_string();
+    // Half a second in the middle of the file's five minutes: one record,
+    // neither the file's first nor its last, lands in the cache.
+    let prime = primed
+        .query(
+            "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+             AND D.sample_time > '2010-01-12T22:12:30.000' \
+             AND D.sample_time < '2010-01-12T22:12:30.500'",
+        )
+        .unwrap();
+    assert_eq!(
+        prime.report.records_extracted, 1,
+        "one middle record primed"
+    );
+
+    // No ORDER BY: the rows come in the order `D` was assembled.
+    let sql =
+        format!("SELECT D.sample_time, D.sample_value FROM mseed.dataview WHERE F.uri = '{uri}'");
+    let partly_cached = primed.query(&sql).unwrap();
+    assert_eq!(partly_cached.report.cache_hits, 1);
+    assert!(partly_cached.report.records_extracted > 1);
+    let fresh = Warehouse::open_lazy(&repo.root, no_refresh_config())
+        .unwrap()
+        .query(&sql)
+        .unwrap();
+    assert_eq!(fresh.report.cache_hits, 0);
+    assert!(
+        partly_cached.table == fresh.table,
+        "a cached record takes its place in record order"
+    );
+}
+
+/// `(station, COUNT, MIN, MAX, SUM)` of `D.sample_value` per `F.station`
+/// in first-appearance order, folded row by row over the materialized
+/// join — the answer a fused aggregate must reproduce to the bit.
+fn per_station_reference(w: &Warehouse, filter: &str) -> Vec<(Value, i64, f64, f64, f64)> {
+    let rows = w
+        .query(&format!(
+            "SELECT F.station, D.sample_value FROM mseed.dataview {filter}"
+        ))
+        .unwrap()
+        .table;
+    let mut out: Vec<(Value, i64, f64, f64, f64)> = Vec::new();
+    for i in 0..rows.num_rows() {
+        let row = rows.row(i).unwrap();
+        let x = row[1].as_f64().unwrap();
+        match out.iter_mut().find(|g| g.0 == row[0]) {
+            Some(g) => {
+                g.1 += 1;
+                g.2 = if x < g.2 { x } else { g.2 };
+                g.3 = if x > g.3 { x } else { g.3 };
+                g.4 += x;
+            }
+            None => out.push((row[0].clone(), 1, x, x, x)),
+        }
+    }
+    out
+}
+
+/// Bit-exact comparison of one result row against expected cells.
+fn assert_row_bits(got: &[Value], want: &[Value], what: &str) {
+    let bits = |v: &Value| match v {
+        Value::Float64(x) => format!("{:016x}", x.to_bits()),
+        other => format!("{other:?}"),
+    };
+    let got: Vec<String> = got.iter().map(bits).collect();
+    let want: Vec<String> = want.iter().map(bits).collect();
+    assert_eq!(got, want, "{what}");
+}
+
+#[test]
+fn spine_shaped_aggregates_fuse() {
+    // E18's FRESH_QUERIES[1], the per-station dashboard aggregate.
+    const PER_STATION: &str = "SELECT F.station, COUNT(*), MIN(D.sample_value), \
+        MAX(D.sample_value), AVG(D.sample_value) FROM mseed.dataview GROUP BY F.station";
+    const STREAM_FILTER: &str = "WHERE F.station = 'HGN' AND F.channel = 'BHZ'";
+    let repo = figure1_repo("fuse", 512);
+    for (mode, recycle) in [
+        ("lazy", false),
+        ("eager", false),
+        ("lazy", true),
+        ("eager", true),
+    ] {
+        let config = WarehouseConfig {
+            recycle_query_results: recycle,
+            ..no_refresh_config()
+        };
+        let w = match mode {
+            "lazy" => Warehouse::open_lazy(&repo.root, config),
+            _ => Warehouse::open_eager(&repo.root, config),
+        }
+        .unwrap();
+        let what = format!("{mode}, recycle={recycle}");
+        let fused_by = |sql: &str| {
+            let before = w.stats_snapshot().exec.aggregates_fused;
+            let out = w.query(sql).unwrap().table;
+            (w.stats_snapshot().exec.aggregates_fused - before, out)
+        };
+
+        let (n, q2) = fused_by(FIGURE1_Q2);
+        assert_eq!(n, 1, "FIGURE1_Q2 fuses ({what})");
+        let want = per_station_reference(&w, "WHERE F.network = 'NL' AND F.channel = 'BHZ'");
+        assert_eq!(q2.num_rows(), want.len());
+        for (i, (station, _, min, max, _)) in want.iter().enumerate() {
+            let cells = [station.clone(), Value::Float64(*min), Value::Float64(*max)];
+            assert_row_bits(&q2.row(i).unwrap(), &cells, &format!("Q2 ({what})"));
+        }
+
+        let stream_sql = format!(
+            "SELECT COUNT(*), MIN(D.sample_value), MAX(D.sample_value), AVG(D.sample_value) \
+             FROM mseed.dataview {STREAM_FILTER}"
+        );
+        let (n, stream) = fused_by(&stream_sql);
+        assert_eq!(n, 1, "the per-stream aggregate fuses ({what})");
+        let [(_, count, min, max, sum)] = per_station_reference(&w, STREAM_FILTER)[..] else {
+            panic!("one stream, one station");
+        };
+        let cells = [
+            Value::Int64(count),
+            Value::Float64(min),
+            Value::Float64(max),
+            Value::Float64(sum / count as f64),
+        ];
+        assert_row_bits(&stream.row(0).unwrap(), &cells, &format!("stream ({what})"));
+
+        let (n, per_station) = fused_by(PER_STATION);
+        assert_eq!(n, 1, "FRESH_QUERIES[1] fuses ({what})");
+        let want = per_station_reference(&w, "");
+        assert_eq!(per_station.num_rows(), want.len());
+        for (i, (station, count, min, max, sum)) in want.iter().enumerate() {
+            let cells = [
+                station.clone(),
+                Value::Int64(*count),
+                Value::Float64(*min),
+                Value::Float64(*max),
+                Value::Float64(sum / *count as f64),
+            ];
+            let row = per_station.row(i).unwrap();
+            assert_row_bits(&row, &cells, &format!("per station ({what})"));
+        }
+
+        let (n, by_record) =
+            fused_by("SELECT D.seq_no, COUNT(*) FROM mseed.dataview GROUP BY D.seq_no");
+        assert_eq!(
+            n, 0,
+            "a probe-side group key materializes the join ({what})"
+        );
+        assert!(by_record.num_rows() > 1);
+    }
+}
+
+#[test]
 fn explain_shows_three_stages_with_injection() {
     let repo = figure1_repo("explain", 512);
     let lazy = Warehouse::open_lazy(&repo.root, no_refresh_config()).unwrap();
