@@ -4,7 +4,7 @@
 //! * `record-cache`   — the paper's recycler: extracted record payloads
 //!   are reused, but transformation + query execution re-run;
 //! * `result-recycler` — the "end result of a view" level: the final
-//!   table is served directly from the plan-fingerprint cache.
+//!   table is served directly from the cache keyed by the SQL text.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lazyetl_bench::{scale_repo, ScaleName, FIGURE1_Q2};

@@ -98,9 +98,9 @@ pub struct ParallelSweepResult {
     pub speedup: f64,
     /// Result table is identical to the 1-worker run.
     pub results_match: bool,
-    /// Logical cores of the measuring host — speedup floors only mean
-    /// anything when the hardware can actually run 2 workers at once, so
-    /// the gate reads this before applying them.
+    /// Logical cores of the measuring host, reported beside the speedup:
+    /// the ratio only means anything when the hardware can actually run
+    /// the workers at once.
     pub cores: usize,
 }
 

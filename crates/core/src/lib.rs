@@ -42,7 +42,7 @@
 //! * [`cache`] — intermediate-result recycling with LRU and staleness
 //!   checks (§3.3);
 //! * [`qcache`] — the second recycler level: final query results keyed by
-//!   optimized-plan fingerprint, invalidated by refresh generations;
+//!   SQL text, invalidated by refresh generations;
 //! * [`parallel`] — scoped-thread extraction of independent files
 //!   (byte-identical results at any thread count);
 //! * [`persistence`] + [`segment`] — the durable save/recover path:

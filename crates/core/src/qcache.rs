@@ -5,12 +5,16 @@
 //! notes that "usually, the end result of a view is saved in the cache".
 //! The per-record cache in [`crate::cache`] recycles the *extraction*
 //! intermediates; this module adds the second recycler level: the final
-//! table of a query, keyed by a fingerprint of its optimized plan.
+//! table of a query, keyed by the query's SQL text.
 //!
 //! A recycled result is only valid while the warehouse state it was
 //! computed from is unchanged. The warehouse bumps a *generation* counter
-//! whenever a refresh folds repository changes into the catalog. Two
-//! mechanisms keep entries useful across that bump:
+//! whenever a refresh folds repository changes into the catalog. Within
+//! one generation the catalog, the mode and the configuration are fixed,
+//! so the same text always has the same answer: a repeat query is looked
+//! up before it is parsed, and a hit compiles nothing. Texts that differ
+//! only in whitespace or case are separate entries. Two mechanisms keep
+//! entries useful across a generation bump:
 //!
 //! * **Scoped invalidation** — every entry carries the set of base tables
 //!   it read and (when derivable) the closed `sample_time` interval its
@@ -169,7 +173,7 @@ pub struct DeltaOutcome {
 /// Summary of one resident recycled result (for the demo's cache browser).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultEntrySummary {
-    /// The plan fingerprint (first line shown by browsers).
+    /// The entry's key: the SQL text of the query it answers.
     pub fingerprint: String,
     /// Entry size in bytes.
     pub bytes: usize,
@@ -182,7 +186,7 @@ pub struct ResultEntrySummary {
 /// Snapshot of recycled results and occupancy.
 #[derive(Debug, Clone)]
 pub struct ResultCacheSnapshot {
-    /// Resident entries ordered by fingerprint.
+    /// Resident entries ordered by key.
     pub entries: Vec<ResultEntrySummary>,
     /// Bytes in use.
     pub used_bytes: usize,
@@ -259,10 +263,10 @@ impl QueryResultCache {
         self.inner.lock().expect("result cache poisoned")
     }
 
-    /// Look up a plan fingerprint; entries from older warehouse
-    /// generations are dropped and reported as misses. (Refreshes that go
-    /// through [`Self::apply_delta`] re-stamp surviving entries, so this
-    /// only fires for generation bumps that bypassed the delta path.)
+    /// Look up a key; entries from older warehouse generations are dropped
+    /// and reported as misses. (Refreshes that go through
+    /// [`Self::apply_delta`] re-stamp surviving entries, so this only
+    /// fires for generation bumps that bypassed the delta path.)
     pub fn get(&self, fingerprint: &str, current_generation: u64) -> Option<Arc<Table>> {
         let mut inner = self.locked();
         inner.tick += 1;
@@ -342,12 +346,12 @@ impl QueryResultCache {
     ///    the entry is time-scoped/maintainable and its `sample_time`
     ///    window is disjoint from the delta's record coverage; the entry
     ///    is re-stamped with the new generation untouched;
-    /// 2. **patch** — the entry is maintainable, the delta is insert-only
-    ///    and `maintenance_enabled`: `exec` runs the entry's augmented plan
-    ///    over the delta tables and the result is folded into the state
-    ///    (append or group-state merge); for peeled aggregations `exec` is
-    ///    called a second time to re-project the merged state into the
-    ///    user-visible table;
+    /// 2. **patch** — the entry is maintainable and the delta is
+    ///    insert-only: `exec` runs the entry's augmented plan over the
+    ///    delta tables and the result is folded into the state (append or
+    ///    group-state merge); for peeled aggregations `exec` is called a
+    ///    second time to run [`MaintKind::reprojection`] of the merged
+    ///    state into the user-visible table;
     /// 3. **drop** — everything else falls back to recompute-on-next-query.
     ///
     /// `exec` returns `None` when the plan cannot be executed (the entry is
@@ -356,14 +360,13 @@ impl QueryResultCache {
     pub fn apply_delta(
         &self,
         delta: &RefreshDelta<'_>,
-        maintenance_enabled: bool,
         exec: &mut dyn FnMut(&LogicalPlan) -> Option<Arc<Table>>,
     ) -> DeltaOutcome {
         let mut outcome = DeltaOutcome::default();
         let mut inner = self.locked();
         let keys: Vec<String> = inner.entries.keys().cloned().collect();
         for key in keys {
-            let action = decide(&inner.entries[&key], delta, maintenance_enabled);
+            let action = decide(&inner.entries[&key], delta);
             match action {
                 Action::Keep => {
                     let entry = inner.entries.get_mut(&key).expect("key just listed");
@@ -496,7 +499,7 @@ fn intervals_disjoint(a: (Option<i64>, Option<i64>), b: (Option<i64>, Option<i64
     before || after
 }
 
-fn decide(entry: &ResultEntry, delta: &RefreshDelta<'_>, maintenance_enabled: bool) -> Action {
+fn decide(entry: &ResultEntry, delta: &RefreshDelta<'_>) -> Action {
     if entry.generation != delta.prev_generation {
         return Action::DropStale;
     }
@@ -517,9 +520,6 @@ fn decide(entry: &ResultEntry, delta: &RefreshDelta<'_>, maintenance_enabled: bo
         }
         ResultScope::Maintainable { .. } if !delta.insert_only => {
             Action::Drop("refresh delta is not insert-only".to_string())
-        }
-        ResultScope::Maintainable { .. } if !maintenance_enabled => {
-            Action::Drop("result maintenance disabled".to_string())
         }
         ResultScope::Maintainable { .. } => Action::Patch,
         ResultScope::Opaque => Action::Drop("opaque plan intersects refresh delta".to_string()),
@@ -558,24 +558,15 @@ fn patch_entry(
             (merged.clone(), merged)
         }
         MaintKind::Aggregate {
-            group_cols,
-            merges,
-            post_project,
+            group_cols, merges, ..
         } => {
             let merged = Arc::new(
                 merge_state_tables(&state, &delta_out, *group_cols, merges)
                     .map_err(|e| e.to_string())?,
             );
-            let visible = match post_project {
+            let visible = match kind.reprojection(&merged) {
                 None => merged.clone(),
-                Some(exprs) => {
-                    let project = LogicalPlan::Project {
-                        input: Box::new(LogicalPlan::InlineData {
-                            label: "maintained-state".to_string(),
-                            table: merged.clone(),
-                        }),
-                        exprs: exprs.clone(),
-                    };
+                Some(project) => {
                     exec(&project).ok_or_else(|| "state re-projection failed".to_string())?
                 }
             };
@@ -724,7 +715,7 @@ mod tests {
         };
         c.insert_with_meta("plan-a".into(), table_of(4), 0, meta);
         let touched = vec!["files".to_string(), "records".to_string()];
-        let out = c.apply_delta(&delta(0, true, &touched, (None, None)), true, &mut |_| None);
+        let out = c.apply_delta(&delta(0, true, &touched, (None, None)), &mut |_| None);
         assert_eq!(out.kept, 1);
         assert!(out.dropped.is_empty());
         assert!(c.get("plan-a", 1).is_some(), "kept and re-stamped");
@@ -750,7 +741,6 @@ mod tests {
         c.insert_with_meta("live-window".into(), table_of(2), 0, meta((Some(5), None)));
         let out = c.apply_delta(
             &delta(0, true, &touched, (Some(100), Some(200))),
-            true,
             &mut |_| None,
         );
         assert_eq!(out.kept, 1, "disjoint window kept");
@@ -775,7 +765,7 @@ mod tests {
         };
         c.insert_with_meta("plan-a".into(), base, 0, meta);
         let touched = vec!["data".to_string()];
-        let out = c.apply_delta(&delta(0, true, &touched, (None, None)), true, &mut |_| {
+        let out = c.apply_delta(&delta(0, true, &touched, (None, None)), &mut |_| {
             Some(table_of(3))
         });
         assert_eq!(out.patched, 1);
@@ -840,7 +830,7 @@ mod tests {
         };
         c.insert_with_meta("agg".into(), old, 0, meta);
         let touched = vec!["data".to_string()];
-        let out = c.apply_delta(&delta(0, true, &touched, (None, None)), true, &mut |_| {
+        let out = c.apply_delta(&delta(0, true, &touched, (None, None)), &mut |_| {
             Some(dstate.clone())
         });
         assert_eq!(out.patched, 1);
@@ -882,7 +872,7 @@ mod tests {
         };
         c.insert_with_meta("plan-a".into(), base, 0, meta);
         let touched = vec!["data".to_string()];
-        let out = c.apply_delta(&delta(0, false, &touched, (None, None)), true, &mut |_| {
+        let out = c.apply_delta(&delta(0, false, &touched, (None, None)), &mut |_| {
             Some(table_of(3))
         });
         assert_eq!(out.patched, 0);

@@ -63,9 +63,7 @@ use lazyetl_query::optimizer::{
     coerce_timestamp_literals, fold_constants, optimize, optimize_with_cost,
 };
 use lazyetl_query::planner::{plan_select, TableSource};
-use lazyetl_query::{
-    classify, parse_select, CostModel, LogicalPlan, MaintKind, MaintPlan, Maintainability,
-};
+use lazyetl_query::{classify, parse_select, CostModel, LogicalPlan, MaintPlan, Maintainability};
 use lazyetl_repo::{AccessProfile, FileEntry, FileId, LazySource, RepoError, Repository};
 use lazyetl_store::{Catalog, ColumnData, Table};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -149,18 +147,22 @@ pub struct WarehouseConfig {
     /// — the pre-upgrade behaviour and the E17 planner ablation. Results
     /// are identical either way; only plan shape and cost change.
     pub cost_based_planning: bool,
-    /// Recycle **final query results** keyed by optimized-plan fingerprint
-    /// (the second recycler level of §3.3; experiment E11). Off by default
-    /// so per-query extraction accounting stays observable.
+    /// Recycle **final query results** keyed by SQL text within the
+    /// current generation (the second recycler level of §3.3; experiment
+    /// E11). A repeat of the same text is answered after the refresh
+    /// probe without being compiled; texts that differ only in whitespace
+    /// or case are separate entries. Off by default so per-query
+    /// extraction accounting stays observable.
     pub recycle_query_results: bool,
     /// Byte budget of the result recycler (only used when
     /// [`recycle_query_results`](Self::recycle_query_results) is on).
     pub result_cache_budget_bytes: usize,
     /// Maintain recycled results incrementally across insert-only
     /// refreshes (patch filter/project/aggregate results from the delta)
-    /// instead of dropping them. `false` is the E18 recompute baseline;
-    /// scoped invalidation (keeping entries whose tables/time windows the
-    /// delta provably misses) stays on either way.
+    /// instead of dropping them. `false` is the E18 recompute baseline:
+    /// maintainable plans are then admitted opaque, so a refresh keeps
+    /// them only when it touches none of their tables. Time-scoped
+    /// entries keep their time-window check either way.
     pub maintain_recycled_results: bool,
     /// Worker threads for the extraction phase of lazy fetches (file
     /// granularity; experiment E10). `1` is the paper's sequential
@@ -1029,9 +1031,10 @@ impl Warehouse {
     /// Run a SQL query through the full lazy/eager pipeline.
     ///
     /// Takes `&self`: any number of threads may query one warehouse
-    /// concurrently. A query holds the state read lock from planning to
-    /// execution, so it sees one consistent catalog/index snapshot; the
-    /// auto-refresh rescan (when due) runs *before* that lock is taken.
+    /// concurrently. A query holds the state read lock from the result
+    /// recycler lookup to execution, so it sees one consistent
+    /// catalog/index snapshot; the auto-refresh rescan (when due) runs
+    /// *before* that lock is taken.
     pub fn query(&self, sql: &str) -> Result<QueryOutput> {
         let t0 = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -1073,6 +1076,30 @@ impl Warehouse {
         // catalog + index; concurrent refreshes wait for the read lock.
         let state = self.read_state();
 
+        // Result recycler: within one generation the catalog, mode and
+        // config are fixed, so the SQL text names the answer, and a hit
+        // skips compilation, extraction and execution entirely. The lookup
+        // stays under the read lock, so a refresh cannot re-stamp the
+        // entry between the generation read and the `get`.
+        let generation = self.generation();
+        let recycle = self.config.recycle_query_results;
+        if recycle {
+            if let Some(table) = self.qcache.get(sql, generation) {
+                report
+                    .stages
+                    .push(("recycled".into(), format!("generation {generation}")));
+                report.rows = table.num_rows();
+                report.result_recycled = true;
+                report.elapsed = t0.elapsed();
+                self.log.push(EtlOp::ResultRecycleHit { rows: report.rows });
+                self.log.push(EtlOp::QueryFinish {
+                    rows: report.rows,
+                    elapsed_us: report.elapsed.as_micros() as u64,
+                });
+                return Ok(QueryOutput { table, report });
+            }
+        }
+
         let (logical, plan, cost_model) = self.compile(&state, sql)?;
         report.stages.push(("logical".into(), logical.display()));
         report.stages.push(("optimized".into(), plan.display()));
@@ -1087,30 +1114,9 @@ impl Warehouse {
             },
         });
 
-        // Result recycler: the optimized plan (literals included) is the
-        // fingerprint; a hit skips extraction and execution entirely.
-        let generation = self.generation();
-        let fingerprint = if self.config.recycle_query_results {
-            let fp = plan.display();
-            if let Some(table) = self.qcache.get(&fp, generation) {
-                report.stages.push(("recycled".into(), fp.clone()));
-                report.rows = table.num_rows();
-                report.result_recycled = true;
-                report.elapsed = t0.elapsed();
-                self.log.push(EtlOp::ResultRecycleHit { rows: report.rows });
-                self.log.push(EtlOp::QueryFinish {
-                    rows: report.rows,
-                    elapsed_us: report.elapsed.as_micros() as u64,
-                });
-                return Ok(QueryOutput { table, report });
-            }
-            Some(fp)
-        } else {
-            None
-        };
         // Classify the plan for incremental maintenance / scoped
         // invalidation; the class travels with the admitted entry.
-        let classification = fingerprint.as_ref().map(|_| classify(&plan));
+        let classification = recycle.then(|| classify(&plan));
         let maint: Option<&MaintPlan> = match &classification {
             Some(Maintainability::Maintainable(m)) if self.config.maintain_recycled_results => {
                 Some(m)
@@ -1132,6 +1138,9 @@ impl Warehouse {
         };
         let has_external =
             run_plan.any_node(&mut |n| matches!(n, LogicalPlan::ExternalScan { .. }));
+        let exec_ctx = ExecContext::new(&state.catalog)
+            .with_metrics(&self.exec_metrics)
+            .with_parallelism(self.config.parallelism);
         let final_plan = if self.mode == Mode::Lazy && has_external {
             let mut rewrite_report = RewriteReport::default();
             let mut stats = FetchStats::default();
@@ -1141,15 +1150,8 @@ impl Warehouse {
                 let log = &self.log;
                 let extractor = &self.extractor;
                 let threads = self.config.extraction_threads;
-                let parallelism = self.config.parallelism;
-                let metrics = &self.exec_metrics;
                 let counters = &self.source_counters;
-                let exec_meta = move |p: &LogicalPlan| -> Result<Arc<Table>> {
-                    let ctx = ExecContext::new(&state.catalog)
-                        .with_metrics(metrics)
-                        .with_parallelism(parallelism);
-                    execute(p, &ctx).map_err(EtlError::Query)
-                };
+                let exec_meta = |p: &LogicalPlan| execute(p, &exec_ctx).map_err(EtlError::Query);
                 let mut fetch = |pairs: &[(i64, i64)]| -> Result<Arc<Table>> {
                     fetch_pairs(
                         state, counters, extractor, cache, log, threads, pairs, &mut stats,
@@ -1204,37 +1206,13 @@ impl Warehouse {
             .map(|r| r.round().max(0.0) as u64);
 
         // Execute.
-        let state_table = execute(
-            &final_plan,
-            &ExecContext::new(&state.catalog)
-                .with_metrics(&self.exec_metrics)
-                .with_parallelism(self.config.parallelism),
-        )
-        .map_err(EtlError::Query)?;
+        let state_table = execute(&final_plan, &exec_ctx).map_err(EtlError::Query)?;
         // Maintainable aggregations executed in peeled form: re-apply the
         // planner's top projection to produce the user-visible table (the
         // raw state is cached for future delta merges).
-        let table = match maint.map(|m| &m.kind) {
-            Some(MaintKind::Aggregate {
-                post_project: Some(exprs),
-                ..
-            }) => {
-                let project = LogicalPlan::Project {
-                    input: Box::new(LogicalPlan::InlineData {
-                        label: "maintained-state".to_string(),
-                        table: state_table.clone(),
-                    }),
-                    exprs: exprs.clone(),
-                };
-                execute(
-                    &project,
-                    &ExecContext::new(&state.catalog)
-                        .with_metrics(&self.exec_metrics)
-                        .with_parallelism(self.config.parallelism),
-                )
-                .map_err(EtlError::Query)?
-            }
-            _ => state_table.clone(),
+        let table = match maint.and_then(|m| m.kind.reprojection(&state_table)) {
+            Some(project) => execute(&project, &exec_ctx).map_err(EtlError::Query)?,
+            None => state_table.clone(),
         };
         if let (Some(model), Some(chosen)) = (&cost_model, &optimized_plan) {
             if let Some(est) = estimated {
@@ -1251,8 +1229,8 @@ impl Warehouse {
                 ),
             ));
         }
-        if let Some(fp) = fingerprint {
-            let meta = match (&classification, maint) {
+        if let Some(class) = &classification {
+            let meta = match (class, maint) {
                 (_, Some(m)) => ResultMeta {
                     tables: Some(m.tables.clone()),
                     interval: crate::rewrite::sample_time_interval(&plan),
@@ -1262,28 +1240,27 @@ impl Warehouse {
                         state: state_table.clone(),
                     },
                 },
-                (Some(Maintainability::TimeScoped { tables }), _) => ResultMeta {
+                (Maintainability::TimeScoped { tables }, _) => ResultMeta {
                     tables: Some(tables.clone()),
                     interval: crate::rewrite::sample_time_interval(&plan),
                     scope: ResultScope::TimeScoped,
                 },
                 // Maintainable plan with maintenance disabled, or opaque:
                 // only the table-scope keep applies.
-                (Some(Maintainability::Maintainable(m)), None) => ResultMeta {
+                (Maintainability::Maintainable(m), None) => ResultMeta {
                     tables: Some(m.tables.clone()),
                     interval: (None, None),
                     scope: ResultScope::Opaque,
                 },
-                (Some(Maintainability::Opaque), _) => ResultMeta {
+                (Maintainability::Opaque, _) => ResultMeta {
                     tables: Some(lazyetl_query::maintain::referenced_tables(&plan)),
                     interval: (None, None),
                     scope: ResultScope::Opaque,
                 },
-                (None, _) => ResultMeta::opaque(),
             };
             let bytes = table.byte_size();
             self.qcache
-                .insert_with_meta(fp, table.clone(), generation, meta);
+                .insert_with_meta(sql.to_string(), table.clone(), generation, meta);
             self.log.push(EtlOp::ResultRecycleAdmit {
                 rows: table.num_rows(),
                 bytes,
@@ -1357,6 +1334,10 @@ impl Warehouse {
     /// cost-based planning on, the final `explain` stage reports the
     /// chosen join order, estimated vs. actual result rows, and whether
     /// record pruning was an index seek or a scan.
+    ///
+    /// With result recycling on, a query whose SQL text was already
+    /// answered in the current generation is a recycler hit: nothing is
+    /// compiled, and the only stage is `recycled`, naming the generation.
     pub fn explain(&self, sql: &str) -> Result<Vec<(String, String)>> {
         Ok(self.query(sql)?.report.stages)
     }
@@ -1614,9 +1595,7 @@ impl Warehouse {
                 .with_parallelism(self.config.parallelism);
             execute(&substituted, &ctx).ok()
         };
-        let outcome =
-            self.qcache
-                .apply_delta(&delta, self.config.maintain_recycled_results, &mut exec_cb);
+        let outcome = self.qcache.apply_delta(&delta, &mut exec_cb);
         if outcome.kept > 0 {
             self.log.push(EtlOp::ResultKeep {
                 bytes: outcome.kept_bytes,

@@ -1,11 +1,12 @@
 //! Maintainability classification for incremental result maintenance.
 //!
-//! The result recycler keeps final query results keyed by optimized-plan
-//! fingerprint. When a refresh folds **insert-only** repository changes
-//! into the warehouse (new files appear; nothing modified or removed),
-//! many resident results can be *patched* from the delta instead of being
-//! recomputed — the incremental-view-maintenance move that turns K
-//! pollers into K subscribers paying O(delta).
+//! The result recycler keeps final query results keyed by their SQL text
+//! and classifies each admitted entry's optimized plan here. When a
+//! refresh folds **insert-only** repository changes into the warehouse
+//! (new files appear; nothing modified or removed), many resident results
+//! can be *patched* from the delta instead of being recomputed — the
+//! incremental-view-maintenance move that turns K pollers into K
+//! subscribers paying O(delta).
 //!
 //! The soundness argument rides on the warehouse's file-id partitioning:
 //! newly added files get **fresh** `file_id`s, so for any plan whose joins
@@ -26,7 +27,8 @@
 
 use crate::expr::{infer_type, AggFunc, Expr};
 use crate::plan::LogicalPlan;
-use lazyetl_store::DataType;
+use lazyetl_store::{DataType, Table};
+use std::sync::Arc;
 
 /// How one aggregate output column merges with its delta counterpart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +70,24 @@ pub enum MaintKind {
         /// when the aggregate itself is the plan root.
         post_project: Option<Vec<(Expr, String)>>,
     },
+}
+
+impl MaintKind {
+    /// The plan that turns a maintained aggregate `state` into the
+    /// user-visible table: the peeled top projection over the state.
+    /// `None` when the state already is the visible table.
+    pub fn reprojection(&self, state: &Arc<Table>) -> Option<LogicalPlan> {
+        let MaintKind::Aggregate { post_project, .. } = self else {
+            return None;
+        };
+        post_project.as_ref().map(|exprs| LogicalPlan::Project {
+            input: Box::new(LogicalPlan::InlineData {
+                label: "maintained-state".to_string(),
+                table: state.clone(),
+            }),
+            exprs: exprs.clone(),
+        })
+    }
 }
 
 /// A plan the recycler can patch incrementally.

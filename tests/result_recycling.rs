@@ -49,6 +49,27 @@ fn second_run_is_recycled_and_identical() {
 }
 
 #[test]
+fn recycled_hit_skips_the_front_end() {
+    let repo = figure1_repo("recycle_frontend", 512);
+    let wh = Warehouse::open_lazy(&repo.root, recycling_config()).unwrap();
+
+    wh.query(FIGURE1_Q2).unwrap();
+    let second = wh.query(FIGURE1_Q2).unwrap();
+    assert!(second.report.result_recycled);
+    let stages: Vec<&str> = second
+        .report
+        .stages
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(stages, vec!["recycled"], "a hit is not parsed or planned");
+    let compiles = wh.etl_log().count_matching(
+        |op| matches!(op, EtlOp::PlanRewrite { stage, .. } if stage == "compile-time"),
+    );
+    assert_eq!(compiles, 1, "only the first run compiled");
+}
+
+#[test]
 fn different_literals_are_different_fingerprints() {
     let repo = figure1_repo("recycle_fp", 512);
     let wh = Warehouse::open_lazy(&repo.root, recycling_config()).unwrap();

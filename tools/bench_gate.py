@@ -191,16 +191,12 @@ E14_MEMCEIL_FIELDS = (
     "ceiling_bytes", "ceiling_ok", "elapsed_us",
 )
 
-# E15's agg_parallel sweep: 2 execution workers must beat 1 by this factor.
-# Loose on purpose (perfect scaling would be 2.0) and only applied when the
-# measuring host reports >= 2 cores — on a single-core runner the workers
-# time-slice one CPU and the ratio is meaningless (the equivalence gate
-# `results_match` still applies there).
-E15_PARALLEL_MIN_SPEEDUP = 1.3
-
 # E15's row schema: the kernel rows, the worker counts of the agg_parallel
 # sweep, and the fields each carries — a floor cannot fire on a field that
-# is not there, so presence is gated first.
+# is not there, so presence is gated first. The sweep gates behaviour
+# only: every worker count runs, and each agrees with the serial run. Its
+# `parallel_speedup` is reported, not gated — a wall-clock ratio on a
+# shared 2-vCPU host says nothing about the code.
 E15_KERNELS = {"filter", "project", "aggregate", "zonemap"}
 E15_KERNEL_FIELDS = (
     "rows", "out_rows", "scalar_us", "vectorized_us", "speedup",
@@ -377,25 +373,6 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                 failures.append(
                     f"e15[agg_parallel workers={row.get('workers')}]: parallel result "
                     "diverged from the serial run"
-                )
-        two = next((r for r in sweep if r.get("workers") == 2), None)
-        if two is not None:
-            cores = two.get("cores", 1)
-            speedup = two.get("parallel_speedup", 0.0)
-            if cores >= 2 and isinstance(speedup, (int, float)) and speedup < E15_PARALLEL_MIN_SPEEDUP:
-                failures.append(
-                    f"e15[agg_parallel workers=2]: speedup {speedup:.2f} below "
-                    f"{E15_PARALLEL_MIN_SPEEDUP}x floor on a {cores}-core host"
-                )
-            elif cores < 2:
-                notes.append(
-                    f"e15[agg_parallel workers=2]: speedup floor skipped on a "
-                    f"{cores}-core host (equivalence still gated)"
-                )
-            else:
-                notes.append(
-                    f"e15[agg_parallel workers=2]: speedup {speedup:.2f} "
-                    f"(floor {E15_PARALLEL_MIN_SPEEDUP}) ok"
                 )
 
     if exp == "e16":
