@@ -649,6 +649,40 @@ fn e14_served(scale: ScaleName) {
         mc.batches_streamed.to_string(),
     ]);
 
+    // Idle connections: a thousand handshaken clients that never speak
+    // again. The readiness-driven poller sleeps in poll(2) through them;
+    // the bar (gated by bench_gate) is behaviour only — every ping is
+    // answered and the poller wakes at most 100 times a second.
+    let idle_cfg = lazyetl_bench::served::IdleConfig::default();
+    let idle = lazyetl_bench::served::run_idle_connections(&wh, &idle_cfg);
+    json_rows.push(Json::obj([
+        ("phase", Json::str("idle")),
+        ("idle_connections", Json::Int(idle.idle_connections as i64)),
+        (
+            "idle_window_us",
+            Json::Int(idle.idle_window.as_micros() as i64),
+        ),
+        ("poller_wakeups", Json::Int(idle.poller_wakeups as i64)),
+        (
+            "poller_wakeups_per_s",
+            Json::Num(idle.poller_wakeups_per_s()),
+        ),
+        ("pings", Json::Int(idle.pings as i64)),
+        ("pings_answered", Json::Int(idle.pings_answered as i64)),
+        ("ping_p50_us", Json::Int(idle.ping_p50.as_micros() as i64)),
+    ]));
+    rows.push(vec![
+        "idle".into(),
+        "-".into(),
+        format!("{}+1", idle.idle_connections),
+        format!("{}/{} pings", idle.pings_answered, idle.pings),
+        fmt_dur(idle.ping_p50),
+        "-".into(),
+        format!("{:.0} wakeups/s", idle.poller_wakeups_per_s()),
+        "-".into(),
+        "-".into(),
+    ]);
+
     print_table(
         &format!(
             "E14 — Served traffic ({} scale): TCP clients through the wire protocol, one shared warehouse",

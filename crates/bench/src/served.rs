@@ -13,6 +13,11 @@
 //! (500µs) and retried; the latency recorded for a query spans first
 //! attempt → result, so backpressure shows up in the percentiles, not
 //! just the busy counter.
+//!
+//! Two single-client phases measure the connection layer itself: a
+//! stalled reader against the outbound-memory ceiling
+//! ([`run_memory_ceiling`]), and a thousand silent connections against
+//! the poller's wakeup count ([`run_idle_connections`]).
 
 use crate::concurrent::{percentile, query_mix};
 use lazyetl_core::Warehouse;
@@ -315,6 +320,92 @@ pub fn run_memory_ceiling(wh: &Arc<Warehouse>, cfg: &MemCeilConfig) -> MemCeilRe
     }
 }
 
+/// Configuration of one idle-connections run (experiment E14, `idle`
+/// phase).
+#[derive(Debug, Clone)]
+pub struct IdleConfig {
+    /// Handshaken connections held open that never send another byte.
+    pub idle_connections: usize,
+    /// How long the idle connections are held before the pings start.
+    pub idle_window: Duration,
+    /// `Ping` round trips one active client makes among them.
+    pub pings: usize,
+}
+
+impl Default for IdleConfig {
+    fn default() -> Self {
+        IdleConfig {
+            idle_connections: 1000,
+            idle_window: Duration::from_secs(1),
+            pings: 50,
+        }
+    }
+}
+
+/// Result of one idle-connections run.
+#[derive(Debug, Clone)]
+pub struct IdleResult {
+    /// Connections held idle.
+    pub idle_connections: usize,
+    /// Measured length of the idle window.
+    pub idle_window: Duration,
+    /// Poller returns from `poll(2)` during the idle window.
+    pub poller_wakeups: u64,
+    /// Pings sent.
+    pub pings: usize,
+    /// Pings answered with a `Pong`.
+    pub pings_answered: usize,
+    /// Median ping round trip with the idle connections open.
+    pub ping_p50: Duration,
+}
+
+impl IdleResult {
+    /// What the idle connections cost the poller, in wakeups per second.
+    pub fn poller_wakeups_per_s(&self) -> f64 {
+        self.poller_wakeups as f64 / self.idle_window.as_secs_f64().max(1e-9)
+    }
+}
+
+/// Hold `cfg.idle_connections` handshaken connections open and silent —
+/// plain [`Client`]s kept in a `Vec`, no thread per connection — count
+/// the poller's wakeups over `cfg.idle_window`, then time `cfg.pings`
+/// round trips of one active client among them.
+pub fn run_idle_connections(wh: &Arc<Warehouse>, cfg: &IdleConfig) -> IdleResult {
+    let server = Server::start(Arc::clone(wh), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback server");
+    let addr = server.addr();
+    let idle: Vec<Client> = (0..cfg.idle_connections)
+        .map(|_| Client::connect(addr).expect("idle client connects"))
+        .collect();
+    let mut active = Client::connect(addr).expect("active client connects");
+
+    let before = server.stats().poller_wakeups;
+    let t0 = Instant::now();
+    std::thread::sleep(cfg.idle_window);
+    let idle_window = t0.elapsed();
+    let poller_wakeups = server.stats().poller_wakeups - before;
+
+    let mut latencies = Vec::with_capacity(cfg.pings);
+    for _ in 0..cfg.pings {
+        let p0 = Instant::now();
+        if active.ping().is_ok() {
+            latencies.push(p0.elapsed());
+        }
+    }
+    latencies.sort();
+    drop(idle);
+    drop(active);
+    server.stop().expect("graceful server stop");
+    IdleResult {
+        idle_connections: cfg.idle_connections,
+        idle_window,
+        poller_wakeups,
+        pings: cfg.pings,
+        pings_answered: latencies.len(),
+        ping_p50: percentile(&latencies, 50.0),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,5 +489,18 @@ mod tests {
             "a stalled reader must suspend the cursor: {r:?}"
         );
         assert!(r.ceiling_ok, "outbuf high water blew the ceiling: {r:?}");
+    }
+
+    #[test]
+    fn idle_connections_are_answered_without_waking_the_poller() {
+        let wh = tiny_warehouse();
+        let cfg = IdleConfig {
+            idle_connections: 64,
+            idle_window: Duration::from_millis(300),
+            pings: 10,
+        };
+        let r = run_idle_connections(&wh, &cfg);
+        assert_eq!(r.pings_answered, cfg.pings, "{r:?}");
+        assert!(r.poller_wakeups_per_s() <= 100.0, "{r:?}");
     }
 }

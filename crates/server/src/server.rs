@@ -4,7 +4,8 @@
 //! # Architecture
 //!
 //! ```text
-//!                        poller thread (owns listener + every connection)
+//!              poller thread (owns listener + every connection; between
+//!              passes it blocks only in poll(2): sockets, wake socket, timer)
 //!   nonblocking accept ──▶ per-conn read buffer ──incremental parse──▶ frames
 //!        │                                                              │
 //!        │                 admission control (queue depth + est. cost)  │
@@ -16,7 +17,7 @@
 //!        │                   worker pool (N threads)                    │
 //!        │                      Warehouse::query (&self)                │
 //!        │                              │                               │
-//!        └───────◀─ completions ◀───────┘───────────────────────────────┘
+//!        └──◀─ completions + wake byte ◀┘───────────────────────────────┘
 //! ```
 //!
 //! One **poller thread** owns the nonblocking listener and every live
@@ -24,10 +25,27 @@
 //! per-connection buffers, parses frames incrementally
 //! ([`crate::protocol::decode_frame`]), runs admission control, and
 //! writes queued outbound bytes back until the socket would block. No
-//! thread ever blocks on a socket, so connection count is bounded by file
+//! socket call ever blocks, so connection count is bounded by file
 //! descriptors and memory — not by threads. The bounded resource remains
 //! the **worker pool**, the only thing that touches the warehouse;
 //! workers post finished queries to a completion list the poller drains.
+//!
+//! # Readiness
+//!
+//! The poller blocks in exactly one place: `poll(2)`, entered only after
+//! a full pass made no progress. It waits on the listener, on every
+//! connection (readable unless closing, writable while it has unsent
+//! bytes) and on the read end of a **wake socket**. A worker writes one
+//! byte to the wake socket after it posts a completion, and shutdown
+//! writes one too, so a request is read as soon as it arrives and a
+//! finished result is written as soon as it is posted — never on a
+//! tick. The timeout is the time until the next server-side refresh or
+//! the drain deadline, capped at a 50 ms housekeeping period; the cap
+//! bounds how late a live-tail subscriber learns of a warehouse
+//! generation moved outside the server (an in-process
+//! [`Warehouse::refresh`]). An idle server therefore wakes about twenty
+//! times a second, whatever its connection count. The wake socket and
+//! `poll(2)` make this module Unix-only.
 //!
 //! # Streamed cursors and backpressure
 //!
@@ -80,8 +98,11 @@ use lazyetl_core::persistence::SaveReport;
 use lazyetl_core::{EtlError, Warehouse};
 use lazyetl_store::Table;
 use std::collections::{HashMap, VecDeque};
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -164,6 +185,7 @@ struct Counters {
     subscriptions_opened: AtomicU64,
     sub_updates_pushed: AtomicU64,
     refreshes_applied: AtomicU64,
+    poller_wakeups: AtomicU64,
 }
 
 /// Point-in-time copy of the serving counters.
@@ -215,6 +237,9 @@ pub struct ServerStats {
     /// Server-driven [`Warehouse::refresh`] rounds that folded at least
     /// one repository change in.
     pub refreshes_applied: u64,
+    /// Returns of the poller from `poll(2)` — what an idle server costs:
+    /// one per 50 ms housekeeping period when nothing happens.
+    pub poller_wakeups: u64,
 }
 
 impl ServerStats {
@@ -240,10 +265,44 @@ const MAX_QUERY_DELAY_MS: u32 = 10_000;
 /// anyway (a reader that stays stalled must not pin shutdown forever).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Poller sleep when a full tick made no progress: short enough that
-/// queue-admission and first-byte latency stay sub-millisecond, long
-/// enough that an idle server burns no CPU.
-const IDLE_TICK: Duration = Duration::from_micros(500);
+/// Longest the poller blocks in `poll(2)` when no refresh or drain
+/// deadline is due sooner. Sockets, completions and shutdown wake it at
+/// once; the cap only bounds how late a subscriber learns of a warehouse
+/// generation moved outside the server (a query through the server that
+/// moves it wakes the poller with its completion).
+const HOUSEKEEPING: Duration = Duration::from_millis(50);
+
+/// `struct pollfd` of `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    // `poll(2)` from the C runtime every Rust binary already links — the
+    // same minimal-FFI precedent as `signal(2)` in `lazyetl-serve`: std
+    // exposes no readiness API and the workspace takes no new crates.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Block until one of `fds` is ready (`POLLHUP`/`POLLERR` always count)
+/// or `timeout` passes. An error return (`EINTR`) is a spurious wakeup,
+/// which the caller's next pass absorbs.
+fn poll_ready(fds: &mut [PollFd], timeout: Duration) {
+    // Round up: a sub-millisecond wait must not become a 0 ms spin.
+    let ms = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // pollfd structs and `nfds` is its exact length, so the kernel reads
+    // and writes only inside it, and only for the duration of the call.
+    unsafe {
+        poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms);
+    }
+}
 
 /// One admitted query: what the worker needs, plus where the completion
 /// goes. `token` names the connection (tokens are never reused, so a
@@ -308,6 +367,13 @@ struct Shared {
     admitted_cost: AtomicU64,
     shutdown: AtomicBool,
     counters: Counters,
+    /// Read end of the wake socket: the poller waits on it in `poll(2)`
+    /// and drains it after every return.
+    wake_rx: UnixStream,
+    /// Write end: one byte per posted completion and per shutdown. Both
+    /// ends live as long as the server, so a write never meets a closed
+    /// peer.
+    wake_tx: UnixStream,
 }
 
 /// What the drain sequence produced.
@@ -340,6 +406,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             wh,
             cfg,
@@ -350,6 +419,8 @@ impl Server {
             admitted_cost: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
+            wake_rx,
+            wake_tx,
         });
         let workers = (0..shared.cfg.workers.max(1))
             .map(|i| {
@@ -388,8 +459,7 @@ impl Server {
 
     /// Request shutdown without waiting (idempotent).
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.job_ready.notify_all();
+        self.shared.begin_shutdown();
     }
 
     /// Current serving counters.
@@ -448,11 +518,38 @@ impl Shared {
             subscriptions_opened: g(&c.subscriptions_opened),
             sub_updates_pushed: g(&c.sub_updates_pushed),
             refreshes_applied: g(&c.refreshes_applied),
+            poller_wakeups: g(&c.poller_wakeups),
         }
     }
 
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// The one shutdown path ([`Server::request_shutdown`] and the wire
+    /// `Shutdown` frame). The flag flips under the queue lock — the lock
+    /// a worker checks it under before it waits — so no worker can miss
+    /// the `notify_all` that follows; then the poller wakes to drain.
+    fn begin_shutdown(&self) {
+        let q = self.queue.lock().expect("queue poisoned");
+        self.shutdown.store(true, Ordering::Release);
+        drop(q);
+        self.job_ready.notify_all();
+        self.wake_poller();
+    }
+
+    /// Wake the poller out of `poll(2)`. `WouldBlock` means the socket
+    /// buffer is full, i.e. a wakeup is already pending, so no error
+    /// needs handling.
+    fn wake_poller(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Consume every pending wake byte (the poller re-checks everything
+    /// they could stand for in the pass that follows).
+    fn drain_wakeups(&self) {
+        let mut buf = [0u8; 256];
+        while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 
     /// Render server + warehouse stats as the wire `key=value` text.
@@ -481,6 +578,7 @@ impl Shared {
             ("server.subscriptions_opened", s.subscriptions_opened),
             ("server.sub_updates_pushed", s.sub_updates_pushed),
             ("server.refreshes_applied", s.refreshes_applied),
+            ("server.poller_wakeups", s.poller_wakeups),
             ("server.workers", self.cfg.workers as u64),
             ("server.queue_depth", self.cfg.queue_depth as u64),
             ("server.batch_rows", self.cfg.batch_rows as u64),
@@ -590,11 +688,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.is_shutdown() {
                     return;
                 }
-                let (guard, _) = shared
-                    .job_ready
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .expect("queue poisoned");
-                q = guard;
+                q = shared.job_ready.wait(q).expect("queue poisoned");
             }
         };
         let done = run_job(shared, &job);
@@ -614,6 +708,9 @@ fn worker_loop(shared: &Shared) {
         // Order matters: the completion is visible before `running`
         // drops, so quiescence implies every completion was posted.
         shared.running.fetch_sub(1, Ordering::SeqCst);
+        // After both: the poller either takes this completion in its
+        // current pass or finds the byte pending when it next polls.
+        shared.wake_poller();
     }
 }
 
@@ -850,6 +947,7 @@ fn poller_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let mut next_token: u64 = 0;
     let mut drain_deadline: Option<Instant> = None;
     let mut last_refresh = Instant::now();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let mut progress = false;
         let draining = shared.is_shutdown();
@@ -1090,8 +1188,37 @@ fn poller_loop(listener: TcpListener, shared: &Arc<Shared>) {
             }
         }
 
+        // 7. Nothing moved: block until a socket is ready, a worker posts
+        // a completion or shutdown starts (the wake socket), or the next
+        // refresh / drain deadline is due.
         if !progress {
-            std::thread::sleep(IDLE_TICK);
+            let due =
+                drain_deadline.or_else(|| shared.cfg.refresh_interval.map(|i| last_refresh + i));
+            let timeout = due.map_or(HOUSEKEEPING, |d| {
+                d.saturating_duration_since(Instant::now())
+                    .min(HOUSEKEEPING)
+            });
+            let pollfd = |fd: c_int, events: c_short| PollFd {
+                fd,
+                events,
+                revents: 0,
+            };
+            fds.clear();
+            fds.push(pollfd(shared.wake_rx.as_raw_fd(), POLLIN));
+            if let Some(l) = &listener {
+                fds.push(pollfd(l.as_raw_fd(), POLLIN));
+            }
+            for conn in conns.values() {
+                let read = if conn.closing { 0 } else { POLLIN };
+                let write = if conn.out.bytes > 0 { POLLOUT } else { 0 };
+                fds.push(pollfd(conn.stream.as_raw_fd(), read | write));
+            }
+            poll_ready(&mut fds, timeout);
+            shared
+                .counters
+                .poller_wakeups
+                .fetch_add(1, Ordering::Relaxed);
+            shared.drain_wakeups();
         }
     }
 }
@@ -1227,8 +1354,7 @@ fn handle_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: Frame) {
         ),
         Frame::Ping => conn.push(&Frame::Pong, counters),
         Frame::Shutdown => {
-            shared.shutdown.store(true, Ordering::Release);
-            shared.job_ready.notify_all();
+            shared.begin_shutdown();
             conn.push(&Frame::ShutdownAck, counters);
             conn.closing = true;
         }
@@ -1432,7 +1558,7 @@ fn pump_cursors(shared: &Shared, conn: &mut Conn) {
     for id in ids {
         // Take the cursor out for the duration of the pump so batches
         // can be queued (updating `out.bytes`) as they are sliced — the
-        // ceiling check must see every byte already produced this tick.
+        // ceiling check must see every byte already produced this pass.
         let mut cur = conn.cursors.remove(&id).expect("cursor vanished");
         if cur.sub.as_ref().is_some_and(|s| s.drained) {
             // Fully-streamed subscription revision: parked until the
@@ -1480,7 +1606,7 @@ fn pump_cursors(shared: &Shared, conn: &mut Conn) {
                 break;
             }
             if conn.out.bytes >= shared.cfg.max_outbuf_bytes {
-                break; // socket backlogged; resume next tick
+                break; // socket backlogged; resume once it is writable
             }
             let len = batch_rows.min(total - cur.next_row);
             match cur.table.slice(cur.next_row, len) {

@@ -935,3 +935,92 @@ fn subscribe_rejected_below_current_version() {
     assert_eq!(report.stats.subscriptions_opened, 0);
     assert_eq!(report.stats.proto_errors, 1);
 }
+
+#[test]
+fn idle_server_does_not_spin() {
+    let repo = figure1_repo("srv_idle", 512);
+    let wh = Arc::new(Warehouse::open_lazy(&repo.root, quiet_config()).unwrap());
+    let server = start_server(Arc::clone(&wh), ServerConfig::default());
+    let idle: Vec<Client> = (0..32)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+
+    // Held open and silent, the connections give the poller nothing to
+    // do: it sleeps in poll(2) and wakes only for housekeeping (every
+    // 50 ms, so ~6 times here; 20 leaves room for a slow scheduler).
+    let before = server.stats().poller_wakeups;
+    std::thread::sleep(Duration::from_millis(300));
+    let woke = server.stats().poller_wakeups - before;
+    assert!(woke <= 20, "idle poller woke {woke} times in 300 ms");
+
+    // Asleep is not deaf: an idle connection is served at once, and the
+    // counter travels in the stats frame.
+    let mut client = idle.into_iter().next().unwrap();
+    client.ping().unwrap();
+    let stats = client.stats().unwrap();
+    let published: u64 = stats.get("server.poller_wakeups").unwrap().parse().unwrap();
+    assert!(published > before);
+    server.stop().unwrap();
+}
+
+#[test]
+fn query_triggered_refresh_wakes_subscriber() {
+    let repo = figure1_repo("srv_sub_autorefresh", 512);
+    let wh = Arc::new(
+        Warehouse::open_lazy(
+            &repo.root,
+            WarehouseConfig {
+                auto_refresh: true,
+                ..Default::default()
+            },
+        )
+        .unwrap(),
+    );
+    // No server-side refresh timer: only a query's own auto-refresh can
+    // move the generation, and its completion must wake the subscriber.
+    let server = start_server(
+        Arc::clone(&wh),
+        ServerConfig {
+            refresh_interval: None,
+            ..Default::default()
+        },
+    );
+    let addr = server.addr();
+
+    let sql = "SELECT COUNT(*) FROM mseed.records";
+    let mut a = Client::connect(addr).unwrap();
+    let mut sub = expect_subscription(&mut a, sql);
+    let snapshot = sub.next_update().unwrap().expect("initial snapshot");
+
+    let mut raw = Repository::open(repo.root.clone()).unwrap();
+    let src = SourceId::new("NL", "HGN", "", "BHZ").unwrap();
+    updates::add_file(
+        &mut raw,
+        &src,
+        Timestamp::from_ymd_hms(2010, 1, 12, 23, 30, 0, 0),
+        10,
+        0xF02,
+    )
+    .unwrap();
+
+    // Client B's query probes the repository, folds the landed file in
+    // and moves the generation.
+    let mut b = Client::connect(addr).unwrap();
+    expect_rows(&mut b, METADATA_QUERY);
+
+    let revision = sub.next_update().unwrap().expect("pushed revision");
+    assert_ne!(
+        revision.to_ascii(10),
+        snapshot.to_ascii(10),
+        "the push reflects the landed file"
+    );
+    assert_eq!(revision.to_ascii(10), expect_rows(&mut b, sql).to_ascii(10));
+    drop(sub);
+
+    let report = server.stop().unwrap();
+    assert_eq!(
+        report.stats.refreshes_applied, 0,
+        "no server-side refresh ran"
+    );
+    assert!(report.stats.sub_updates_pushed >= 2);
+}

@@ -191,6 +191,16 @@ E14_MEMCEIL_FIELDS = (
     "ceiling_bytes", "ceiling_ok", "elapsed_us",
 )
 
+# E14's idle phase gates behaviour only, never wall clock: every ping
+# through the idle connections is answered, and the poller, blocked in
+# poll(2) with a 50 ms housekeeping cap (~20 wakeups a second), wakes at
+# most this often while they sit silent.
+E14_IDLE_FIELDS = (
+    "idle_connections", "idle_window_us", "poller_wakeups",
+    "poller_wakeups_per_s", "pings", "pings_answered", "ping_p50_us",
+)
+E14_IDLE_MAX_WAKEUPS_PER_S = 100
+
 # E15's row schema: the kernel rows, the worker counts of the agg_parallel
 # sweep, and the fields each carries — a floor cannot fire on a field that
 # is not there, so presence is gated first. The sweep gates behaviour
@@ -574,6 +584,32 @@ def gate_experiment(exp, current_doc, baseline_doc, scale, failures, notes):
                     f"e14[memceil]: hwm {memceil.get('outbuf_hwm_bytes')}B <= "
                     f"ceiling {memceil.get('ceiling_bytes')}B, "
                     f"{memceil.get('credit_stalls')} credit stalls ok"
+                )
+
+        idles = [r for r in current_doc["rows"] if r.get("phase") == "idle"]
+        if len(idles) != 1:
+            failures.append(f"e14: {len(idles)} idle rows in current run, want exactly 1")
+        else:
+            idle = idles[0]
+            missing = [f for f in E14_IDLE_FIELDS if f not in idle]
+            if missing:
+                failures.append(f"e14[idle]: fields missing: {missing}")
+            elif idle["pings_answered"] != idle["pings"]:
+                failures.append(
+                    f"e14[idle]: {idle['pings_answered']} of {idle['pings']} pings answered "
+                    f"among {idle['idle_connections']} idle connections"
+                )
+            elif idle["poller_wakeups_per_s"] > E14_IDLE_MAX_WAKEUPS_PER_S:
+                failures.append(
+                    f"e14[idle]: poller woke {idle['poller_wakeups_per_s']:.0f}/s over "
+                    f"{idle['idle_connections']} idle connections, "
+                    f"max {E14_IDLE_MAX_WAKEUPS_PER_S}/s — the poller spins"
+                )
+            else:
+                notes.append(
+                    f"e14[idle]: {idle['pings']} pings answered, poller "
+                    f"{idle['poller_wakeups_per_s']:.0f} wakeups/s over "
+                    f"{idle['idle_connections']} idle connections ok"
                 )
 
 
