@@ -121,7 +121,16 @@ pub struct WarehouseConfig {
     pub cache_shards: usize,
     /// Check the repository for updates at the start of every query
     /// ("refreshments are handled … when the data warehouse is queried",
-    /// §3.3). Benchmarks measuring pure query latency disable this.
+    /// §3.3). The check is gated on [`LazySource::unchanged`]: when every
+    /// mount knows nothing changed since its last walk (a local directory
+    /// on Linux, from inotify events), the query skips [`Warehouse::refresh`]
+    /// and pays one `read(2)` instead of a directory walk; otherwise it
+    /// refreshes as before. Writes that raise no event (through `mmap`, or
+    /// by another host on a network or FUSE filesystem) reach the
+    /// metadata only through an explicit [`Warehouse::refresh`], which
+    /// always walks; extracted records stay fresh regardless, because the
+    /// record cache checks file mtimes at every fetch. Benchmarks
+    /// measuring pure query latency disable this.
     pub auto_refresh: bool,
     /// Bounded staleness for auto-refresh (cf. the "lazy aggregates" line
     /// of work the paper cites \[13\]): when set, the query-start rescan is
@@ -384,6 +393,12 @@ pub struct SourceStats {
     pub fetch_requests: u64,
     /// Bytes those ranged fetches transferred.
     pub fetched_bytes: u64,
+    /// Full directory walks of this source (open, refreshes, and
+    /// auto-refresh probes the event gate could not answer).
+    pub walks: u64,
+    /// Auto-refresh probes answered from the source's change events,
+    /// without a walk.
+    pub quiet_probes: u64,
 }
 
 /// The mutable warehouse state queries read and refreshes rewrite: the
@@ -472,6 +487,12 @@ impl WarehouseState {
         } else {
             format!("{}://{}", self.mounts[mount].name, uri)
         }
+    }
+
+    /// True when every mount knows nothing changed since its registry was
+    /// last brought up to date ([`LazySource::unchanged`]).
+    fn unchanged(&self) -> bool {
+        self.mounts.iter().all(|m| m.source.unchanged())
     }
 
     /// Files *attached* to the warehouse (F rows) — foreign files a
@@ -980,6 +1001,8 @@ impl Warehouse {
                         ),
                         fetch_requests: io.fetch_requests,
                         fetched_bytes: io.fetched_bytes,
+                        walks: io.walks,
+                        quiet_probes: io.quiet_probes,
                     }
                 })
                 .collect();
@@ -1033,8 +1056,9 @@ impl Warehouse {
     /// Takes `&self`: any number of threads may query one warehouse
     /// concurrently. A query holds the state read lock from the result
     /// recycler lookup to execution, so it sees one consistent
-    /// catalog/index snapshot; the auto-refresh rescan (when due) runs
-    /// *before* that lock is taken.
+    /// catalog/index snapshot; the auto-refresh (when due, and unless every
+    /// mount is [`LazySource::unchanged`]) runs *before* that lock is
+    /// taken.
     pub fn query(&self, sql: &str) -> Result<QueryOutput> {
         let t0 = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -1065,7 +1089,7 @@ impl Warehouse {
                 .elapsed()
                 < bound
         });
-        if self.config.auto_refresh && !within_staleness_bound {
+        if self.config.auto_refresh && !within_staleness_bound && !self.read_state().unchanged() {
             let summary = self.refresh()?;
             if !summary.is_noop() {
                 report.refresh = Some(summary);
@@ -1407,9 +1431,9 @@ impl Warehouse {
     }
 
     /// Rescan the repository and fold any changes into the warehouse.
+    /// Every call walks every mount, whatever its change events say.
     ///
-    /// The no-change common case (every auto-refreshing query against a
-    /// quiet repository) is detected with a read-only probe under the
+    /// The no-change case is detected with a read-only probe under the
     /// **shared read lock**, so concurrent queries keep flowing. Only
     /// when something actually changed does the fold take the state
     /// write lock: running queries finish first, queries arriving during

@@ -13,7 +13,7 @@
 //! carrying the stream identity and sample rate, then a `time_us,value`
 //! column header, then one integer/decimal sample per line.
 
-use crate::source::{read_file_range, LazySource};
+use crate::source::{read_file_range, LazySource, SourceIoStats};
 use crate::{AccessProfile, ChangeSet, FileEntry, FileId, RepoError, Repository};
 use lazyetl_mseed::Timestamp;
 use std::path::PathBuf;
@@ -62,6 +62,10 @@ impl LazySource for CsvSource {
         self.inner.scan_changes()
     }
 
+    fn unchanged(&self) -> bool {
+        self.inner.unchanged()
+    }
+
     fn commit(&mut self, change: &ChangeSet) {
         self.inner.commit(change)
     }
@@ -76,6 +80,10 @@ impl LazySource for CsvSource {
 
     fn fetch_range(&self, entry: &FileEntry, offset: u64, len: u64) -> Result<Vec<u8>, RepoError> {
         read_file_range(&entry.path, offset, len)
+    }
+
+    fn io_stats(&self) -> SourceIoStats {
+        self.inner.io_stats()
     }
 }
 

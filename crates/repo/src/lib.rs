@@ -7,7 +7,9 @@
 //! * [`Repository`] — a rooted directory of MiniSEED files with a stable
 //!   registry of [`FileEntry`]s (URI, size, modification time);
 //! * [`ChangeSet`] — rescan-based change detection, the signal lazy
-//!   refresh (§3.3 of the paper) keys on;
+//!   refresh (§3.3 of the paper) keys on, gated on Linux by inotify
+//!   events so that a quiet repository is not walked at all
+//!   ([`Repository::unchanged`]);
 //! * [`AccessProfile`] — a simulated remote-access cost model (per-file
 //!   latency plus bandwidth), standing in for FTP access to ORFEUS;
 //! * [`updates`] — update operations (append, add, touch) used by the
@@ -19,6 +21,7 @@ pub mod csv_source;
 pub mod remote;
 pub mod source;
 pub mod updates;
+mod watch;
 
 pub use csv_source::CsvSource;
 pub use remote::RemoteSource;
@@ -27,7 +30,9 @@ pub use source::{read_file_range, LazySource, SourceIoStats};
 use lazyetl_mseed::Timestamp;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use watch::Watch;
 
 /// Stable identifier of a file within a repository scan.
 ///
@@ -61,7 +66,7 @@ pub struct FileEntry {
 
 /// Difference between a source's registry and what the source holds now,
 /// as whole entries: a consumer folds it in without looking anything up.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ChangeSet {
     /// Files present now but not before, carrying the id the registry
     /// assigns them when the report is committed.
@@ -71,6 +76,19 @@ pub struct ChangeSet {
     pub modified: Vec<FileEntry>,
     /// Entries the registry forgets: files that disappeared.
     pub removed: Vec<FileEntry>,
+    /// The watch's event count when the walk that produced this report
+    /// started (`None`: the walk could not arm the watch). Committing the
+    /// report makes the registry reflect that walk.
+    mark: Option<u64>,
+}
+
+/// Two reports are equal when they list the same entries, whichever walk
+/// produced them.
+impl PartialEq for ChangeSet {
+    fn eq(&self, other: &ChangeSet) -> bool {
+        (&self.added, &self.modified, &self.removed)
+            == (&other.added, &other.modified, &other.removed)
+    }
 }
 
 impl ChangeSet {
@@ -200,6 +218,9 @@ pub struct Repository {
     by_uri: BTreeMap<String, usize>,
     next_id: u32,
     extensions: Vec<String>,
+    watch: Watch,
+    walks: AtomicU64,
+    quiet_probes: AtomicU64,
     /// Access-cost model for reads against this repository.
     pub access: AccessProfile,
 }
@@ -212,35 +233,141 @@ fn mtime_of(md: &std::fs::Metadata) -> std::io::Result<Timestamp> {
     Ok(Timestamp(micros))
 }
 
-/// Collect every file under `dir` with a registered extension, each with
-/// the one `stat` a scan pays for it. Directories are told from files by
-/// the `DirEntry`'s own type; only a symlink is stat-ed through to learn
-/// what it points at.
-fn walk(
-    dir: &Path,
-    extensions: &[String],
-    out: &mut Vec<(PathBuf, std::fs::Metadata)>,
-) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let kind = entry.file_type()?;
-        let is_dir = if kind.is_symlink() {
-            path.is_dir()
-        } else {
-            kind.is_dir()
-        };
-        if is_dir {
-            walk(&path, extensions, out)?;
-        } else if path
-            .extension()
-            .is_some_and(|e| extensions.iter().any(|x| e.eq_ignore_ascii_case(x)))
-        {
-            let md = std::fs::metadata(&path)?;
-            out.push((path, md));
-        }
+/// `(device, inode)` of a directory, to tell a link back up the walk.
+#[cfg(unix)]
+fn dir_key(md: &std::fs::Metadata) -> Option<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    Some((md.dev(), md.ino()))
+}
+
+#[cfg(not(unix))]
+fn dir_key(_md: &std::fs::Metadata) -> Option<(u64, u64)> {
+    None
+}
+
+/// True when a file has another name, through which a write raises no
+/// event on the directory holding this one.
+#[cfg(unix)]
+fn has_other_links(md: &std::fs::Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    md.nlink() > 1
+}
+
+#[cfg(not(unix))]
+fn has_other_links(_md: &std::fs::Metadata) -> bool {
+    false
+}
+
+/// One walk of the tree against the registry: each registered file is
+/// looked up by its URI as the walk meets it, so an unchanged file costs
+/// one `stat` and no allocation.
+struct Walk<'a> {
+    repo: &'a Repository,
+    /// URI of the directory being read, `/`-terminated (empty at the root).
+    uri: String,
+    /// Directories on the path from the root to the one being read.
+    ancestors: Vec<Option<(u64, u64)>>,
+    /// Registry entries the walk has met, by index.
+    met: Vec<bool>,
+    change: ChangeSet,
+}
+
+impl Walk<'_> {
+    fn registered(&self, name: &str) -> bool {
+        Path::new(name).extension().is_some_and(|e| {
+            self.repo
+                .extensions
+                .iter()
+                .any(|x| e.eq_ignore_ascii_case(x))
+        })
     }
-    Ok(())
+
+    /// Arm `dir`, then visit its entries. Each is stat-ed relative to the
+    /// open directory; only a symlink is stat-ed through.
+    fn dir(&mut self, dir: &Path) -> std::io::Result<()> {
+        if self.change.mark.is_some() && !self.repo.watch.arm(dir) {
+            self.change.mark = None;
+        }
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let kind = entry.file_type()?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let registered = self.registered(&name);
+            let md = if kind.is_symlink() {
+                // A change behind a link raises no event on this tree.
+                self.change.mark = None;
+                match std::fs::metadata(entry.path()) {
+                    Ok(md) => md,
+                    Err(_) if !registered => continue,
+                    Err(e) => return Err(e),
+                }
+            } else if kind.is_dir() || registered {
+                entry.metadata()?
+            } else {
+                continue;
+            };
+            if md.is_dir() {
+                self.subdir(&entry.path(), &name, &md)?;
+            } else if registered {
+                self.file(&entry, &name, &md)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn subdir(&mut self, path: &Path, name: &str, md: &std::fs::Metadata) -> std::io::Result<()> {
+        let key = dir_key(md);
+        if key.is_some() && self.ancestors.contains(&key) {
+            // A link back up the path: following it would register the
+            // same files again under ever longer URIs.
+            return Ok(());
+        }
+        let len = self.uri.len();
+        self.uri.push_str(name);
+        self.uri.push('/');
+        self.ancestors.push(key);
+        let walked = self.dir(path);
+        self.ancestors.pop();
+        self.uri.truncate(len);
+        walked
+    }
+
+    fn file(
+        &mut self,
+        entry: &std::fs::DirEntry,
+        name: &str,
+        md: &std::fs::Metadata,
+    ) -> std::io::Result<()> {
+        if has_other_links(md) {
+            self.change.mark = None;
+        }
+        let (size, mtime) = (md.len(), mtime_of(md)?);
+        let len = self.uri.len();
+        self.uri.push_str(name);
+        match self.repo.by_uri.get(self.uri.as_str()) {
+            Some(&idx) => {
+                self.met[idx] = true;
+                let old = &self.repo.entries[idx];
+                if old.size != size || old.mtime != mtime {
+                    self.change.modified.push(FileEntry {
+                        size,
+                        mtime,
+                        ..old.clone()
+                    });
+                }
+            }
+            None => self.change.added.push(FileEntry {
+                id: FileId(0), // assigned once the walk is sorted
+                uri: self.uri.clone(),
+                path: entry.path(),
+                size,
+                mtime,
+            }),
+        }
+        self.uri.truncate(len);
+        Ok(())
+    }
 }
 
 impl Repository {
@@ -262,6 +389,9 @@ impl Repository {
             by_uri: BTreeMap::new(),
             next_id: 0,
             extensions: extensions.iter().map(|s| s.to_string()).collect(),
+            watch: Watch::new(),
+            walks: AtomicU64::new(0),
+            quiet_probes: AtomicU64::new(0),
             access: AccessProfile::local(),
         };
         repo.rescan()?;
@@ -315,60 +445,77 @@ impl Repository {
     /// Compare the directory tree with the registry **without mutating
     /// it**: one walk, one `stat` per file, one size/mtime comparison.
     /// Added files are reported in URI order with the ids
-    /// [`Self::commit`] will register them under.
+    /// [`Self::commit`] will register them under. A directory that links
+    /// back to one on the path from the root is not entered again.
     ///
-    /// Lets read-mostly callers (the warehouse's per-query auto-refresh)
-    /// detect the no-change common case under a shared lock and only
-    /// escalate to an exclusive commit when something actually changed.
+    /// Lets read-mostly callers (the warehouse's refresh) detect the
+    /// no-change case under a shared lock and only escalate to an
+    /// exclusive commit when something actually changed.
     pub fn scan_changes(&self) -> Result<ChangeSet, RepoError> {
-        let mut paths = Vec::new();
-        walk(&self.root, &self.extensions, &mut paths)?;
-        let mut found: BTreeMap<String, (PathBuf, std::fs::Metadata)> = BTreeMap::new();
-        for (path, md) in paths {
-            let uri = path
-                .strip_prefix(&self.root)
-                .expect("walk yields paths under root")
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            found.insert(uri, (path, md));
-        }
-        let mut change = ChangeSet::default();
+        self.walks.fetch_add(1, Ordering::Relaxed);
+        let mut walk = Walk {
+            repo: self,
+            uri: String::new(),
+            ancestors: vec![dir_key(&std::fs::metadata(&self.root)?)],
+            met: vec![false; self.entries.len()],
+            change: ChangeSet {
+                mark: self.watch.begin_walk(),
+                ..ChangeSet::default()
+            },
+        };
+        walk.dir(&self.root)?;
+        let Walk {
+            met, mut change, ..
+        } = walk;
         change.removed.extend(
             self.entries
                 .iter()
-                .filter(|e| !found.contains_key(&e.uri))
-                .cloned(),
+                .zip(met)
+                .filter(|(_, met)| !met)
+                .map(|(e, _)| e.clone()),
         );
-        for (uri, (path, md)) in found {
-            let (size, mtime) = (md.len(), mtime_of(&md)?);
-            let known = self.by_uri.get(&uri).map(|&idx| &self.entries[idx]);
-            if known.is_some_and(|old| old.size == size && old.mtime == mtime) {
-                continue;
-            }
-            let (id, list) = match known {
-                Some(old) => (old.id, &mut change.modified),
-                None => (
-                    FileId(self.next_id + change.added.len() as u32),
-                    &mut change.added,
-                ),
-            };
-            list.push(FileEntry {
-                id,
-                uri,
-                path,
-                size,
-                mtime,
-            });
+        change.modified.sort_by(|a, b| a.uri.cmp(&b.uri));
+        change.added.sort_by(|a, b| a.uri.cmp(&b.uri));
+        for (i, e) in change.added.iter_mut().enumerate() {
+            e.id = FileId(self.next_id + i as u32);
+        }
+        if change.is_empty() {
+            self.watch.settle(change.mark);
         }
         Ok(change)
+    }
+
+    /// True when the watch has seen no event since the start of the last
+    /// walk the registry reflects: nothing can have changed, so a caller
+    /// about to [`Self::scan_changes`] for drift may skip the walk. Costs
+    /// one `read(2)` of an empty queue. False whenever in doubt: any
+    /// event, an overflowed queue, no inotify instance (not Linux, or
+    /// the per-user limit reached), a directory that could not be
+    /// armed, a symlink in the tree or a registered file with another
+    /// hard link.
+    pub fn unchanged(&self) -> bool {
+        let quiet = self.watch.quiet();
+        if quiet {
+            self.quiet_probes.fetch_add(1, Ordering::Relaxed);
+        }
+        quiet
+    }
+
+    /// Full directory walks ([`Self::scan_changes`] calls) and probes
+    /// [`Self::unchanged`] answered without one, since open.
+    pub fn io_stats(&self) -> SourceIoStats {
+        SourceIoStats {
+            walks: self.walks.load(Ordering::Relaxed),
+            quiet_probes: self.quiet_probes.load(Ordering::Relaxed),
+            ..SourceIoStats::default()
+        }
     }
 
     /// Install a report of [`Self::scan_changes`] into the registry.
     /// Only valid on the registry state the report was scanned from: the
     /// added entries' ids were assigned against it.
     pub fn commit(&mut self, change: &ChangeSet) {
+        self.watch.settle(change.mark);
         for e in &change.modified {
             let idx = *self
                 .by_uri
@@ -522,6 +669,67 @@ mod tests {
         assert_eq!(repo.len(), before.len());
         // Once applied, the preview is empty.
         assert!(repo.scan_changes().unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_symlink_back_up_the_tree_registers_nothing_twice() {
+        let dir = tmpdir("cycle");
+        for sta in ["HGN", "DBN"] {
+            std::fs::create_dir_all(dir.join("NL").join(sta)).unwrap();
+            for i in 0..4 {
+                std::fs::write(dir.join(format!("NL/{sta}/{i}.mseed")), b"x").unwrap();
+            }
+        }
+        std::os::unix::fs::symlink("..", dir.join("NL/HGN/up")).unwrap();
+        let repo = Repository::open(&dir).unwrap();
+        assert_eq!(repo.len(), 8, "{:?}", repo.files());
+        assert!(repo.files().iter().all(|e| !e.uri.contains("up/")));
+        // A change behind a link raises no event here, so the watch
+        // never vouches for this tree.
+        assert!(!repo.unchanged());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn events_gate_the_walk() {
+        let dir = tmpdir("events");
+        generate_repository(&dir, &GeneratorConfig::tiny(4)).unwrap();
+        let mut repo = Repository::open(&dir).unwrap();
+        assert!(repo.unchanged() && repo.unchanged());
+        assert_eq!(
+            (repo.io_stats().walks, repo.io_stats().quiet_probes),
+            (1, 2)
+        );
+
+        // A landed file is an event; the walk that commits it quiets the
+        // watch again.
+        let landed = dir.join("XX/NEW/XX.NEW.--.BHZ.2020.001.000000.mseed");
+        std::fs::create_dir_all(landed.parent().unwrap()).unwrap();
+        std::fs::write(&landed, b"new").unwrap();
+        assert!(!repo.unchanged());
+        assert_eq!(repo.rescan().unwrap().added.len(), 1);
+        assert!(repo.unchanged());
+        // A write into the new directory is heard: the walk armed it.
+        std::fs::write(&landed, b"newer").unwrap();
+        assert!(!repo.unchanged());
+        assert_eq!(repo.rescan().unwrap().modified.len(), 1);
+
+        // A foreign file costs one walk that finds nothing.
+        std::fs::write(dir.join("XX/notes.txt"), b"hi").unwrap();
+        assert!(!repo.unchanged());
+        assert!(repo.scan_changes().unwrap().is_empty());
+        assert!(repo.unchanged());
+
+        // A second name for a registered file disarms the watch.
+        std::fs::hard_link(&landed, dir.join("elsewhere.bin")).unwrap();
+        repo.rescan().unwrap();
+        assert!(!repo.unchanged());
+        std::fs::remove_file(dir.join("elsewhere.bin")).unwrap();
+        repo.rescan().unwrap();
+        assert!(repo.unchanged());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,8 +12,9 @@
 //! cold-touch latency measurements (bench E16) see wall-clock effects,
 //! not just modeled ones.
 //!
-//! Change detection delegates to the origin directory: the simulated
-//! server's content drifts exactly when the files under it do.
+//! Change detection (the walk and its event gate) delegates to the origin
+//! directory: the simulated server's content drifts exactly when the
+//! files under it do.
 
 use crate::source::{read_file_range, LazySource, SourceIoStats};
 use crate::{AccessProfile, ChangeSet, FileEntry, FileId, RepoError, Repository};
@@ -85,6 +86,10 @@ impl LazySource for RemoteSource {
         self.inner.scan_changes()
     }
 
+    fn unchanged(&self) -> bool {
+        self.inner.unchanged()
+    }
+
     fn commit(&mut self, change: &ChangeSet) {
         self.inner.commit(change)
     }
@@ -119,6 +124,7 @@ impl LazySource for RemoteSource {
         SourceIoStats {
             fetch_requests: self.requests.load(Ordering::Relaxed),
             fetched_bytes: self.bytes.load(Ordering::Relaxed),
+            ..self.inner.io_stats()
         }
     }
 }
@@ -144,7 +150,7 @@ mod tests {
         assert!(!src.is_empty());
         let entry = src.files()[0].clone();
         assert!(src.local_path(&entry).is_none(), "remote exposes no path");
-        assert_eq!(src.io_stats(), SourceIoStats::default());
+        assert_eq!(src.io_stats().fetch_requests, 0);
         let head = src.fetch_range(&entry, 0, 64).unwrap();
         assert_eq!(head.len(), 64);
         let tail = src.fetch_range(&entry, entry.size - 10, 100).unwrap();

@@ -10,13 +10,17 @@
 //! * **detect change** — a read-only probe ([`LazySource::scan_changes`])
 //!   whose report ([`ChangeSet`], whole entries) a separate
 //!   [`LazySource::commit`] installs, so a consumer can do its own
-//!   fallible work between the two;
+//!   fallible work between the two; and a cheaper gate in front of it
+//!   ([`LazySource::unchanged`]) that a source able to hear about changes
+//!   answers without looking — a local directory on Linux from inotify
+//!   events, so a quiet repository costs one `read(2)`, not a walk;
 //! * **fetch on first touch** — a byte-range fetch
 //!   ([`LazySource::fetch_range`]), HTTP-range-shaped so remote backends
 //!   map onto it directly; sources that are really local directories
 //!   short-circuit it by exposing [`LazySource::local_path`];
 //! * **report cost** — an [`AccessProfile`] for simulated-transfer
-//!   accounting plus live fetch counters ([`LazySource::io_stats`]).
+//!   accounting plus live fetch and walk counters
+//!   ([`LazySource::io_stats`]).
 //!
 //! The warehouse mounts one or more `Box<dyn LazySource>`s; everything
 //! above this boundary (catalog, record cache, refresh, snapshot drift
@@ -26,14 +30,22 @@ use crate::{AccessProfile, ChangeSet, FileEntry, FileId, RepoError, Repository};
 use lazyetl_mseed::Timestamp;
 use std::path::Path;
 
-/// Cumulative fetch counters of one source (all zeros for sources that
-/// never route reads through [`LazySource::fetch_range`]).
+/// Cumulative I/O counters of one source. The fetch counters are zero
+/// for sources that never route reads through
+/// [`LazySource::fetch_range`]; the walk counters for sources that are
+/// not directories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceIoStats {
     /// Ranged fetches issued against the source.
     pub fetch_requests: u64,
     /// Bytes transferred by those fetches.
     pub fetched_bytes: u64,
+    /// Full directory walks (every [`LazySource::scan_changes`], the one
+    /// at open included).
+    pub walks: u64,
+    /// [`LazySource::unchanged`] probes answered `true`, each a walk not
+    /// made.
+    pub quiet_probes: u64,
 }
 
 /// Read `len` bytes at `offset` from a local file, truncating at EOF.
@@ -103,6 +115,16 @@ pub trait LazySource: Send + Sync + std::fmt::Debug {
     /// entries carry the ids [`Self::commit`] will register them under.
     fn scan_changes(&self) -> Result<ChangeSet, RepoError>;
 
+    /// True only when the source *knows* nothing changed since the
+    /// registry was last brought up to date, so [`Self::scan_changes`]
+    /// would report nothing: the warehouse's per-query auto-refresh skips
+    /// its probe when every mount says so. The default, `false`, always
+    /// asks for the probe. Must be cheap and must never answer `true` in
+    /// doubt; an explicit refresh probes regardless.
+    fn unchanged(&self) -> bool {
+        false
+    }
+
     /// Install a report of [`Self::scan_changes`] into the registry. Only
     /// valid on the registry state the report was scanned from (callers
     /// hold their exclusive lock across both).
@@ -137,8 +159,8 @@ pub trait LazySource: Send + Sync + std::fmt::Debug {
     /// first touch of a record group when [`Self::local_path`] is `None`.
     fn fetch_range(&self, entry: &FileEntry, offset: u64, len: u64) -> Result<Vec<u8>, RepoError>;
 
-    /// Cumulative fetch counters (zeros for sources whose reads bypass
-    /// [`Self::fetch_range`]).
+    /// Cumulative fetch and walk counters (zeros where they do not
+    /// apply).
     fn io_stats(&self) -> SourceIoStats {
         SourceIoStats::default()
     }
@@ -169,6 +191,10 @@ impl LazySource for Repository {
         Repository::scan_changes(self)
     }
 
+    fn unchanged(&self) -> bool {
+        Repository::unchanged(self)
+    }
+
     fn commit(&mut self, change: &ChangeSet) {
         Repository::commit(self, change)
     }
@@ -183,6 +209,10 @@ impl LazySource for Repository {
 
     fn fetch_range(&self, entry: &FileEntry, offset: u64, len: u64) -> Result<Vec<u8>, RepoError> {
         read_file_range(&entry.path, offset, len)
+    }
+
+    fn io_stats(&self) -> SourceIoStats {
+        Repository::io_stats(self)
     }
 }
 
@@ -212,7 +242,8 @@ mod tests {
         assert!(src.by_id(entry.id).is_some());
         assert_eq!(src.local_path(entry), Some(entry.path.as_path()));
         assert!(src.scan_changes().unwrap().is_empty());
-        assert_eq!(src.io_stats(), SourceIoStats::default());
+        let io = src.io_stats();
+        assert_eq!((io.fetch_requests, io.fetched_bytes, io.walks), (0, 0, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 

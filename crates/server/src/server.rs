@@ -663,6 +663,8 @@ impl Shared {
                 ("simulated_io_us", src.simulated_io.as_micros() as u64),
                 ("fetch_requests", src.fetch_requests),
                 ("fetched_bytes", src.fetched_bytes),
+                ("walks", src.walks),
+                ("quiet_probes", src.quiet_probes),
             ] {
                 out.push_str(&format!("source.{}.{k}={v}\n", src.name));
             }
