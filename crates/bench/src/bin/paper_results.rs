@@ -7,10 +7,11 @@
 //! cargo run --release -p lazyetl-bench --bin paper_results -- all medium
 //! ```
 //!
-//! Output is markdown-ish text, suitable for pasting into reports.
+//! Output is markdown-ish text, suitable for pasting into reports. The
+//! counts E3 and E12–E18 report are asserted by
+//! `crates/bench/tests/experiments.rs`; this binary only prints.
 
 use lazyetl_bench::concurrent::{run_concurrent_mix, ConcurrentConfig};
-use lazyetl_bench::json::{write_bench_file, Json};
 use lazyetl_bench::*;
 use lazyetl_core::{Warehouse, WarehouseConfig};
 use lazyetl_repo::{updates, AccessProfile, Repository};
@@ -140,7 +141,6 @@ fn e2_storage(scale: ScaleName) {
 fn e3_figure1(scale: ScaleName) {
     let dir = scale_repo(scale);
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for (name, sql) in [
         ("Q1 (2s STA window)", FIGURE1_Q1),
         ("Q2 (min/max per NL station)", FIGURE1_Q2),
@@ -160,21 +160,6 @@ fn e3_figure1(scale: ScaleName) {
             lo.report.records_extracted.to_string(),
             format!("{}", lw.report.cache_hits),
         ]);
-        json_rows.push(Json::obj([
-            ("query", Json::str(name)),
-            ("eager_us", Json::Int(t_eager.as_micros() as i64)),
-            ("lazy_cold_us", Json::Int(t_cold.as_micros() as i64)),
-            ("lazy_warm_us", Json::Int(t_warm.as_micros() as i64)),
-            (
-                "files_extracted",
-                Json::Int(lo.report.files_extracted.len() as i64),
-            ),
-            (
-                "records_extracted",
-                Json::Int(lo.report.records_extracted as i64),
-            ),
-            ("warm_cache_hits", Json::Int(lw.report.cache_hits as i64)),
-        ]));
     }
     print_table(
         &format!("E3 — Figure-1 query latency ({} scale)", scale.label()),
@@ -189,7 +174,6 @@ fn e3_figure1(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e3", scale, json_rows);
 }
 
 /// E4: selectivity sweep — lazy extraction cost vs fraction touched.
@@ -277,7 +261,6 @@ fn e4_selectivity(scale: ScaleName) {
 fn e5_time_to_insight(scale: ScaleName) {
     let dir = scale_repo(scale);
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for (label, sql) in [
         ("metadata browse", METADATA_QUERY),
         ("Figure-1 Q1", FIGURE1_Q1),
@@ -296,21 +279,6 @@ fn e5_time_to_insight(scale: ScaleName) {
                 (t_eload + t_eq).as_secs_f64() / (t_lload + t_lq).as_secs_f64().max(1e-9)
             ),
         ]);
-        json_rows.push(Json::obj([
-            ("query", Json::str(label)),
-            (
-                "eager_total_us",
-                Json::Int((t_eload + t_eq).as_micros() as i64),
-            ),
-            (
-                "lazy_total_us",
-                Json::Int((t_lload + t_lq).as_micros() as i64),
-            ),
-            ("eager_load_us", Json::Int(t_eload.as_micros() as i64)),
-            ("lazy_load_us", Json::Int(t_lload.as_micros() as i64)),
-            ("eager_query_us", Json::Int(t_eq.as_micros() as i64)),
-            ("lazy_query_us", Json::Int(t_lq.as_micros() as i64)),
-        ]));
     }
     print_table(
         &format!(
@@ -325,7 +293,6 @@ fn e5_time_to_insight(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e5", scale, json_rows);
 }
 
 /// E12: concurrent clients against one shared warehouse — throughput,
@@ -334,7 +301,6 @@ fn e12_concurrent(scale: ScaleName) {
     let dir = scale_repo(scale);
     let run_cfg = ConcurrentConfig::default();
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let wh = Arc::new(
             Warehouse::open_lazy(
@@ -361,21 +327,6 @@ fn e12_concurrent(scale: ScaleName) {
             cold.records_extracted.to_string(),
             warm.records_extracted.to_string(),
         ]);
-        for (phase, r) in [("cold", &cold), ("warm", &warm)] {
-            json_rows.push(Json::obj([
-                ("shards", Json::Int(shards as i64)),
-                ("threads", Json::Int(run_cfg.threads as i64)),
-                ("phase", Json::str(phase)),
-                ("total_queries", Json::Int(r.total_queries as i64)),
-                ("elapsed_us", Json::Int(r.elapsed.as_micros() as i64)),
-                ("throughput_qps", Json::Num(r.throughput_qps)),
-                ("p50_us", Json::Int(r.p50.as_micros() as i64)),
-                ("p99_us", Json::Int(r.p99.as_micros() as i64)),
-                ("max_us", Json::Int(r.max.as_micros() as i64)),
-                ("cache_hit_rate", Json::Num(r.cache_hit_rate)),
-                ("records_extracted", Json::Int(r.records_extracted as i64)),
-            ]));
-        }
     }
     print_table(
         &format!(
@@ -389,7 +340,6 @@ fn e12_concurrent(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e12", scale, json_rows);
 }
 
 /// E13: warm restart — cold open vs. reopen-from-snapshot over the
@@ -400,7 +350,6 @@ fn e13_warm_restart(scale: ScaleName) {
     let r = run_warm_restart(&dir, &base_config());
     let warm_beats_cold = r.warm.time_to_first_insight() < r.cold.time_to_first_insight();
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for (phase, p) in [("cold", &r.cold), ("warm", &r.warm)] {
         rows.push(vec![
             phase.to_string(),
@@ -411,25 +360,6 @@ fn e13_warm_restart(scale: ScaleName) {
             format!("{:.0}%", 100.0 * p.hit_rate()),
             p.records_extracted.to_string(),
         ]);
-        json_rows.push(Json::obj([
-            ("phase", Json::str(phase)),
-            ("open_us", Json::Int(p.open.as_micros() as i64)),
-            (
-                "first_query_us",
-                Json::Int(p.first_query.as_micros() as i64),
-            ),
-            (
-                "tti_us",
-                Json::Int(p.time_to_first_insight().as_micros() as i64),
-            ),
-            ("mix_total_us", Json::Int(p.mix_total.as_micros() as i64)),
-            ("cache_hit_rate", Json::Num(p.hit_rate())),
-            ("records_extracted", Json::Int(p.records_extracted as i64)),
-            ("save_us", Json::Int(r.save.as_micros() as i64)),
-            ("saved_bytes", Json::Int(r.saved_bytes as i64)),
-            ("segments", Json::Int(r.segments as i64)),
-            ("warm_beats_cold", Json::Bool(warm_beats_cold)),
-        ]));
     }
     print_table(
         &format!(
@@ -451,7 +381,6 @@ fn e13_warm_restart(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e13", scale, json_rows);
 }
 
 /// E14: served traffic — K TCP clients through the wire protocol against
@@ -459,7 +388,10 @@ fn e13_warm_restart(scale: ScaleName) {
 /// layer's headline numbers: throughput, tail latency, busy-rejection
 /// rate, cache hit rate.
 fn e14_served(scale: ScaleName) {
-    use lazyetl_bench::served::{run_served_mix, ServedConfig};
+    use lazyetl_bench::served::{
+        run_idle_connections, run_memory_ceiling, run_served_mix, IdleConfig, MemCeilConfig,
+        ServedConfig, ServedRunResult,
+    };
     let dir = scale_repo(scale);
     let wh = Arc::new(
         Warehouse::open_lazy(
@@ -473,84 +405,10 @@ fn e14_served(scale: ScaleName) {
         )
         .unwrap(),
     );
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    let mut push_json =
-        |phase: &str, cfg: &ServedConfig, r: &lazyetl_bench::served::ServedRunResult| {
-            json_rows.push(Json::obj([
-                ("phase", Json::str(phase)),
-                ("workers", Json::Int(cfg.workers as i64)),
-                ("clients", Json::Int(cfg.clients as i64)),
-                ("queue_depth", Json::Int(cfg.queue_depth as i64)),
-                ("delay_ms", Json::Int(cfg.delay_ms as i64)),
-                ("total_queries", Json::Int(r.total_queries as i64)),
-                ("busy_rejections", Json::Int(r.busy_rejections as i64)),
-                ("busy_rate", Json::Num(r.busy_rate())),
-                ("elapsed_us", Json::Int(r.elapsed.as_micros() as i64)),
-                ("throughput_qps", Json::Num(r.throughput_qps)),
-                ("p50_us", Json::Int(r.p50.as_micros() as i64)),
-                ("p99_us", Json::Int(r.p99.as_micros() as i64)),
-                ("max_us", Json::Int(r.max.as_micros() as i64)),
-                ("cache_hit_rate", Json::Num(r.cache_hit_rate)),
-                ("records_extracted", Json::Int(r.records_extracted as i64)),
-                ("cursors_opened", Json::Int(r.server.cursors_opened as i64)),
-                (
-                    "batches_streamed",
-                    Json::Int(r.server.batches_streamed as i64),
-                ),
-                ("credit_stalls", Json::Int(r.server.credit_stalls as i64)),
-            ]));
-        };
-
-    // Cold storm: first served traffic pays the lazy extraction.
-    let cold_cfg = ServedConfig {
-        workers: 2,
-        ..Default::default()
-    };
-    let cold = run_served_mix(&wh, &cold_cfg);
-    push_json("cold", &cold_cfg, &cold);
-    rows.push(vec![
-        "cold".into(),
-        cold_cfg.workers.to_string(),
-        cold_cfg.clients.to_string(),
-        format!("{:.0}", cold.throughput_qps),
-        fmt_dur(cold.p50),
-        fmt_dur(cold.p99),
-        format!("{:.1}%", 100.0 * cold.busy_rate()),
-        format!("{:.0}%", 100.0 * cold.cache_hit_rate),
-        cold.records_extracted.to_string(),
-    ]);
-
-    // Warm sweep over the worker pool: steady-state serving throughput.
-    // The 25ms server-side think time makes service time sleep-dominated
-    // (mean warm CPU per mix query is ~9ms, almost all of it Q2), so
-    // throughput ≈ min(workers, clients)/service_time and the sweep
-    // measures the pool, not the host: worker sleeps overlap even on a
-    // single core, giving the acceptance bar — monotone non-decreasing
-    // throughput 1→4 workers — ~2x margin per step on any machine.
-    // Best-of-2 damps scheduler noise on shared runners.
-    for workers in [1usize, 2, 4] {
-        let cfg = ServedConfig {
-            workers,
-            queries_per_client: 12,
-            delay_ms: 25,
-            ..Default::default()
-        };
-        let mut best: Option<lazyetl_bench::served::ServedRunResult> = None;
-        for _ in 0..2 {
-            let r = run_served_mix(&wh, &cfg);
-            if best
-                .as_ref()
-                .is_none_or(|b| r.throughput_qps > b.throughput_qps)
-            {
-                best = Some(r);
-            }
-        }
-        let r = best.expect("two runs happened");
-        push_json("warm", &cfg, &r);
-        rows.push(vec![
-            "warm".into(),
-            workers.to_string(),
+    let mix_row = |phase: &str, cfg: &ServedConfig, r: &ServedRunResult| {
+        vec![
+            phase.to_string(),
+            cfg.workers.to_string(),
             cfg.clients.to_string(),
             format!("{:.0}", r.throughput_qps),
             fmt_dur(r.p50),
@@ -558,7 +416,35 @@ fn e14_served(scale: ScaleName) {
             format!("{:.1}%", 100.0 * r.busy_rate()),
             format!("{:.0}%", 100.0 * r.cache_hit_rate),
             r.records_extracted.to_string(),
-        ]);
+        ]
+    };
+    let mut rows = Vec::new();
+
+    // Cold storm: first served traffic pays the lazy extraction.
+    let cold_cfg = ServedConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    rows.push(mix_row("cold", &cold_cfg, &run_served_mix(&wh, &cold_cfg)));
+
+    // Warm sweep over the worker pool: steady-state serving throughput.
+    // The 25ms server-side think time makes service time sleep-dominated
+    // (mean warm CPU per mix query is ~9ms, almost all of it Q2), so
+    // throughput ≈ min(workers, clients)/service_time and the sweep
+    // measures the pool, not the host: worker sleeps overlap even on a
+    // single core. Best-of-2 damps scheduler noise on shared runners.
+    for workers in [1usize, 2, 4] {
+        let cfg = ServedConfig {
+            workers,
+            queries_per_client: 12,
+            delay_ms: 25,
+            ..Default::default()
+        };
+        let r = (0..2)
+            .map(|_| run_served_mix(&wh, &cfg))
+            .max_by(|a, b| a.throughput_qps.total_cmp(&b.throughput_qps))
+            .expect("two runs happened");
+        rows.push(mix_row("warm", &cfg, &r));
     }
 
     // Admission-control demonstration: 4 clients racing a depth-1 queue
@@ -570,19 +456,11 @@ fn e14_served(scale: ScaleName) {
         queries_per_client: 6,
         ..Default::default()
     };
-    let tight = run_served_mix(&wh, &tight_cfg);
-    push_json("admission", &tight_cfg, &tight);
-    rows.push(vec![
-        "admission".into(),
-        tight_cfg.workers.to_string(),
-        tight_cfg.clients.to_string(),
-        format!("{:.0}", tight.throughput_qps),
-        fmt_dur(tight.p50),
-        fmt_dur(tight.p99),
-        format!("{:.1}%", 100.0 * tight.busy_rate()),
-        format!("{:.0}%", 100.0 * tight.cache_hit_rate),
-        tight.records_extracted.to_string(),
-    ]);
+    rows.push(mix_row(
+        "admission",
+        &tight_cfg,
+        &run_served_mix(&wh, &tight_cfg),
+    ));
 
     // Connection sweep: hundreds of warm clients against a 2-worker pool.
     // The event-driven poller owns every connection on one thread, so the
@@ -596,43 +474,14 @@ fn e14_served(scale: ScaleName) {
             queue_depth: 4096,
             delay_ms: 0,
         };
-        let r = run_served_mix(&wh, &cfg);
-        push_json("connsweep", &cfg, &r);
-        rows.push(vec![
-            "connsweep".into(),
-            cfg.workers.to_string(),
-            clients.to_string(),
-            format!("{:.0}", r.throughput_qps),
-            fmt_dur(r.p50),
-            fmt_dur(r.p99),
-            format!("{:.1}%", 100.0 * r.busy_rate()),
-            format!("{:.0}%", 100.0 * r.cache_hit_rate),
-            r.records_extracted.to_string(),
-        ]);
+        rows.push(mix_row("connsweep", &cfg, &run_served_mix(&wh, &cfg)));
     }
 
     // Memory ceiling: one reader stalls mid-stream on a large scan; the
     // credit window and outbuf ceiling must hold server memory at
     // O(batch) where whole-frame serving would buffer the O(result)
-    // reply. `ceiling_ok` is the acceptance bar (gated by bench_gate).
-    let mc_cfg = lazyetl_bench::served::MemCeilConfig::default();
-    let mc = lazyetl_bench::served::run_memory_ceiling(&wh, &mc_cfg);
-    json_rows.push(Json::obj([
-        ("phase", Json::str("memceil")),
-        ("batch_rows", Json::Int(mc_cfg.batch_rows as i64)),
-        ("initial_credit", Json::Int(mc_cfg.initial_credit as i64)),
-        (
-            "max_outbuf_bytes",
-            Json::Int(mc_cfg.max_outbuf_bytes as i64),
-        ),
-        ("rows", Json::Int(mc.rows as i64)),
-        ("batches_streamed", Json::Int(mc.batches_streamed as i64)),
-        ("credit_stalls", Json::Int(mc.credit_stalls as i64)),
-        ("outbuf_hwm_bytes", Json::Int(mc.outbuf_hwm_bytes as i64)),
-        ("ceiling_bytes", Json::Int(mc.ceiling_bytes as i64)),
-        ("ceiling_ok", Json::Bool(mc.ceiling_ok)),
-        ("elapsed_us", Json::Int(mc.elapsed.as_micros() as i64)),
-    ]));
+    // reply.
+    let mc = run_memory_ceiling(&wh, &MemCeilConfig::default());
     rows.push(vec![
         "memceil".into(),
         "1".into(),
@@ -650,27 +499,8 @@ fn e14_served(scale: ScaleName) {
     ]);
 
     // Idle connections: a thousand handshaken clients that never speak
-    // again. The readiness-driven poller sleeps in poll(2) through them;
-    // the bar (gated by bench_gate) is behaviour only — every ping is
-    // answered and the poller wakes at most 100 times a second.
-    let idle_cfg = lazyetl_bench::served::IdleConfig::default();
-    let idle = lazyetl_bench::served::run_idle_connections(&wh, &idle_cfg);
-    json_rows.push(Json::obj([
-        ("phase", Json::str("idle")),
-        ("idle_connections", Json::Int(idle.idle_connections as i64)),
-        (
-            "idle_window_us",
-            Json::Int(idle.idle_window.as_micros() as i64),
-        ),
-        ("poller_wakeups", Json::Int(idle.poller_wakeups as i64)),
-        (
-            "poller_wakeups_per_s",
-            Json::Num(idle.poller_wakeups_per_s()),
-        ),
-        ("pings", Json::Int(idle.pings as i64)),
-        ("pings_answered", Json::Int(idle.pings_answered as i64)),
-        ("ping_p50_us", Json::Int(idle.ping_p50.as_micros() as i64)),
-    ]));
+    // again. The readiness-driven poller sleeps in poll(2) through them.
+    let idle = run_idle_connections(&wh, &IdleConfig::default());
     rows.push(vec![
         "idle".into(),
         "-".into(),
@@ -694,19 +524,19 @@ fn e14_served(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e14", scale, json_rows);
 }
 
 /// E15: kernel throughput — the identical plan through the row
 /// interpreter vs the typed kernels, plus the zone-map short-circuit.
-/// The acceptance bar (vectorized ≥2x at tiny scale, `rows_pruned` > 0)
-/// is enforced by CI via `tools/bench_gate.py` over `BENCH_e15.json`.
+/// `crates/bench/tests/experiments.rs` asserts its counts.
 fn e15_kernels(scale: ScaleName) {
-    use lazyetl_bench::kernels::{bench_rows, run_kernel_bench, run_parallel_sweep};
+    use lazyetl_bench::kernels::{
+        bench_rows, build_bench_catalog, run_kernel_bench, run_parallel_sweep,
+    };
     let rows = bench_rows(scale);
-    let r = run_kernel_bench(rows, 3);
+    let catalog = build_bench_catalog(rows);
+    let r = run_kernel_bench(&catalog, 3);
     let mut table_rows = Vec::new();
-    let mut json_rows = Vec::new();
     for k in &r.kernels {
         table_rows.push(vec![
             k.kernel.to_string(),
@@ -718,20 +548,6 @@ fn e15_kernels(scale: ScaleName) {
             format!("{:.1}M", k.rows_per_sec(k.vectorized) / 1e6),
             k.results_match.to_string(),
         ]);
-        json_rows.push(Json::obj([
-            ("kernel", Json::str(k.kernel)),
-            ("rows", Json::Int(k.rows as i64)),
-            ("out_rows", Json::Int(k.out_rows as i64)),
-            ("scalar_us", Json::Int(k.scalar.as_micros() as i64)),
-            ("vectorized_us", Json::Int(k.vectorized.as_micros() as i64)),
-            ("speedup", Json::Num(k.speedup())),
-            ("rows_per_sec_scalar", Json::Num(k.rows_per_sec(k.scalar))),
-            (
-                "rows_per_sec_vectorized",
-                Json::Num(k.rows_per_sec(k.vectorized)),
-            ),
-            ("results_match", Json::Bool(k.results_match)),
-        ]));
     }
     let z = &r.zone_map;
     table_rows.push(vec![
@@ -747,18 +563,10 @@ fn e15_kernels(scale: ScaleName) {
         format!("pruned {}", z.rows_pruned),
         z.results_match.to_string(),
     ]);
-    json_rows.push(Json::obj([
-        ("kernel", Json::str("zonemap")),
-        ("rows", Json::Int(z.rows as i64)),
-        ("rows_pruned", Json::Int(z.rows_pruned as i64)),
-        ("pruned_us", Json::Int(z.pruned.as_micros() as i64)),
-        ("unpruned_us", Json::Int(z.unpruned.as_micros() as i64)),
-        ("results_match", Json::Bool(z.results_match)),
-    ]));
     // Cores-vs-speedup sweep: the aggregate kernel at 1/2/4 execution
-    // workers. `cores` rides along so the gate can skip the scaling
-    // floor on single-core hosts (speedup there is meaningless).
-    for p in run_parallel_sweep(rows, 3) {
+    // workers. `cores` rides along because the speedup means nothing on
+    // a host that cannot run the workers at once.
+    for p in run_parallel_sweep(&catalog, 3) {
         table_rows.push(vec![
             "agg_parallel".to_string(),
             rows.to_string(),
@@ -769,15 +577,6 @@ fn e15_kernels(scale: ScaleName) {
             format!("{} cores", p.cores),
             p.results_match.to_string(),
         ]);
-        json_rows.push(Json::obj([
-            ("kernel", Json::str("agg_parallel")),
-            ("rows", Json::Int(p.rows as i64)),
-            ("workers", Json::Int(p.workers as i64)),
-            ("elapsed_us", Json::Int(p.elapsed.as_micros() as i64)),
-            ("parallel_speedup", Json::Num(p.speedup)),
-            ("cores", Json::Int(p.cores as i64)),
-            ("results_match", Json::Bool(p.results_match)),
-        ]));
     }
     print_table(
         &format!(
@@ -798,19 +597,17 @@ fn e15_kernels(scale: ScaleName) {
         ],
         &table_rows,
     );
-    emit_json("e15", scale, json_rows);
 }
 
 /// E16: federated lazy extraction — three disjoint sources (local mSEED
 /// archive, CSV survey drop, latency-injected simulated remote) behind
 /// one warehouse; the federated answer must equal the eager union, the
-/// warm re-query must extract nothing, and per-source accounting is the
-/// acceptance bar CI gates via `tools/bench_gate.py` over `BENCH_e16.json`.
+/// warm re-query must extract nothing, and the per-source accounting is
+/// exact (`crates/bench/tests/experiments.rs`).
 fn e16_federated(scale: ScaleName) {
     use lazyetl_bench::federated::run_federated;
     let r = run_federated(scale, true);
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for s in &r.sources {
         let st = &s.stats;
         rows.push(vec![
@@ -824,47 +621,7 @@ fn e16_federated(scale: ScaleName) {
             fmt_dur(st.simulated_io),
             s.warm_files_extracted.to_string(),
         ]);
-        json_rows.push(Json::obj([
-            ("source", Json::str(st.name.clone())),
-            ("kind", Json::str(st.kind)),
-            ("files", Json::Int(st.files as i64)),
-            ("files_extracted", Json::Int(st.files_extracted as i64)),
-            ("records_extracted", Json::Int(st.records_extracted as i64)),
-            ("samples_extracted", Json::Int(st.samples_extracted as i64)),
-            ("bytes_read", Json::Int(st.bytes_read as i64)),
-            (
-                "simulated_io_us",
-                Json::Int(st.simulated_io.as_micros() as i64),
-            ),
-            ("fetch_requests", Json::Int(st.fetch_requests as i64)),
-            ("fetched_bytes", Json::Int(st.fetched_bytes as i64)),
-            (
-                "warm_files_extracted",
-                Json::Int(s.warm_files_extracted as i64),
-            ),
-        ]));
     }
-    json_rows.push(Json::obj([
-        ("source", Json::str("_query")),
-        ("rows", Json::Int(r.rows as i64)),
-        ("union_matches", Json::Bool(r.union_matches)),
-        (
-            "federated_open_us",
-            Json::Int(r.federated_open.as_micros() as i64),
-        ),
-        ("union_open_us", Json::Int(r.union_open.as_micros() as i64)),
-        ("cold_us", Json::Int(r.cold.as_micros() as i64)),
-        ("warm_us", Json::Int(r.warm.as_micros() as i64)),
-        (
-            "union_query_us",
-            Json::Int(r.union_query.as_micros() as i64),
-        ),
-        (
-            "warm_records_extracted",
-            Json::Int(r.warm_records_extracted as i64),
-        ),
-        ("warm_cache_hits", Json::Int(r.warm_cache_hits as i64)),
-    ]));
     print_table(
         &format!(
             "E16 — Federated lazy extraction ({} scale): open {} (vs eager union {}), \
@@ -891,20 +648,18 @@ fn e16_federated(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e16", scale, json_rows);
 }
 
 /// E17: cost-based planner & ordered time index — the same window-query
 /// mix under the full pipeline, the linear-sweep ablation and the
-/// heuristic (no-cost) ablation. Equal answers, strictly fewer index
-/// entries examined under the seek, and estimate accounting are the
-/// acceptance bars CI gates via `tools/bench_gate.py` over `BENCH_e17.json`.
+/// heuristic (no-cost) ablation: equal answers, fewer index entries
+/// examined under the seek, and the estimate accounting
+/// (`crates/bench/tests/experiments.rs`).
 fn e17_planner(scale: ScaleName) {
     use lazyetl_bench::planner::run_planner_bench;
     let dir = scale_repo(scale);
     let results = run_planner_bench(&dir);
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for r in &results {
         rows.push(vec![
             r.config.to_string(),
@@ -918,19 +673,6 @@ fn e17_planner(scale: ScaleName) {
             r.estimate_abs_error.to_string(),
             r.results_match.to_string(),
         ]);
-        json_rows.push(Json::obj([
-            ("config", Json::str(r.config)),
-            ("queries", Json::Int(r.queries as i64)),
-            ("rows", Json::Int(r.rows as i64)),
-            ("cold_us", Json::Int(r.cold.as_micros() as i64)),
-            ("index_seeks", Json::Int(r.index_seeks as i64)),
-            ("entries_examined", Json::Int(r.entries_examined as i64)),
-            ("fetched_pairs", Json::Int(r.fetched_pairs as i64)),
-            ("pruned_pairs", Json::Int(r.pruned_pairs as i64)),
-            ("plans_estimated", Json::Int(r.plans_estimated as i64)),
-            ("estimate_abs_error", Json::Int(r.estimate_abs_error as i64)),
-            ("results_match", Json::Bool(r.results_match)),
-        ]));
     }
     print_table(
         &format!(
@@ -943,15 +685,6 @@ fn e17_planner(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e17", scale, json_rows);
-}
-
-/// Write `BENCH_<experiment>.json` and tell the operator where it went.
-fn emit_json(experiment: &str, scale: ScaleName, rows: Vec<Json>) {
-    match write_bench_file(experiment, scale.label(), rows) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_{experiment}.json: {e}"),
-    }
 }
 
 /// E6: repository updates — cost of staying fresh.
@@ -1284,7 +1017,6 @@ fn e8_observability(scale: ScaleName) {
     println!("files extracted: {:?}", out.report.files_extracted);
 }
 
-/// Every experiment the harness knows, in run order.
 /// E18: fresh-data polling — a steady update stream under K pollers,
 /// incremental result maintenance vs drop-and-recompute.
 fn e18_fresh(scale: ScaleName) {
@@ -1294,7 +1026,6 @@ fn e18_fresh(scale: ScaleName) {
     let (incr, recomp, results_match) = run_fresh_bench(&src, &cfg);
     let speedup = recomp.total().as_secs_f64() / incr.total().as_secs_f64().max(1e-9);
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for r in [&incr, &recomp] {
         rows.push(vec![
             r.mode.to_string(),
@@ -1310,33 +1041,6 @@ fn e18_fresh(scale: ScaleName) {
             r.recycler.bytes_saved_estimate.to_string(),
             results_match.to_string(),
         ]);
-        json_rows.push(Json::obj([
-            ("mode", Json::str(r.mode)),
-            ("rounds", Json::Int(r.rounds as i64)),
-            ("pollers", Json::Int(r.pollers as i64)),
-            ("polls", Json::Int(r.polls as i64)),
-            ("refresh_us", Json::Int(r.refresh_total.as_micros() as i64)),
-            ("poll_us", Json::Int(r.poll_total.as_micros() as i64)),
-            ("total_us", Json::Int(r.total().as_micros() as i64)),
-            (
-                "results_patched",
-                Json::Int(r.recycler.results_patched as i64),
-            ),
-            (
-                "patch_rows_applied",
-                Json::Int(r.recycler.patch_rows_applied as i64),
-            ),
-            (
-                "recompute_fallbacks",
-                Json::Int(r.recycler.recompute_fallbacks as i64),
-            ),
-            (
-                "bytes_saved_estimate",
-                Json::Int(r.recycler.bytes_saved_estimate as i64),
-            ),
-            ("recycler_hits", Json::Int(r.recycler.hits as i64)),
-            ("results_match", Json::Bool(results_match)),
-        ]));
     }
     print_table(
         &format!(
@@ -1352,9 +1056,9 @@ fn e18_fresh(scale: ScaleName) {
         ],
         &rows,
     );
-    emit_json("e18", scale, json_rows);
 }
 
+/// Every experiment the harness knows, in run order.
 const KNOWN_EXPERIMENTS: [&str; 18] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18",
@@ -1374,8 +1078,8 @@ fn main() {
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = KNOWN_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
-    // Validate up front: CI gates depend on a bad experiment name being a
-    // hard failure, not a warning scrolled past 500 lines of tables.
+    // Validate up front: a bad experiment name is a hard failure, not a
+    // warning scrolled past 500 lines of tables.
     let unknown: Vec<&String> = wanted
         .iter()
         .filter(|w| !KNOWN_EXPERIMENTS.contains(&w.as_str()))

@@ -13,7 +13,7 @@
 //!   each mount reports only its own files, records, bytes and (for the
 //!   remote) ranged-fetch counts and modeled WAN time.
 
-use crate::{copy_dir, materialize, time, ScaleName};
+use crate::{build_once, copy_dir, materialize, time, ScaleName};
 use lazyetl_core::{SourceStats, Warehouse, WarehouseBuilder, WarehouseConfig};
 use lazyetl_mseed::gen::{GeneratorConfig, RepoFormat};
 use lazyetl_mseed::inventory::default_inventory;
@@ -120,16 +120,12 @@ fn federation_dirs(scale: ScaleName) -> (PathBuf, PathBuf, PathBuf) {
 /// ground-truth input for the eager union warehouse.
 fn union_dir(scale: ScaleName, parts: &[&PathBuf]) -> PathBuf {
     let dst = crate::cache_root().join(format!("e16_union_{}", scale.label()));
-    let marker = dst.join(".complete");
-    if marker.exists() {
-        return dst;
-    }
-    std::fs::remove_dir_all(&dst).ok();
-    for part in parts {
-        copy_dir(part, &dst).expect("copy federation slice into union");
-    }
-    // The slices' own markers came along for the ride; only ours counts.
-    std::fs::write(&marker, b"ok").expect("write union marker");
+    // The slices' own markers come along for the ride; `build_once`
+    // writes the one that counts after the last copy.
+    build_once(&dst, |tmp| {
+        parts.iter().try_for_each(|part| copy_dir(part, tmp))
+    })
+    .expect("copy federation slices into union");
     dst
 }
 

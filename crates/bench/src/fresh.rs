@@ -27,7 +27,7 @@ use lazyetl_core::{Warehouse, WarehouseConfig};
 use lazyetl_mseed::record::SourceId;
 use lazyetl_mseed::Timestamp;
 use lazyetl_repo::{updates, Repository};
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Duration;
 
 /// The polling mix: every maintainable shape the classifier recognises
@@ -83,7 +83,7 @@ pub struct FreshModeResult {
 }
 
 impl FreshModeResult {
-    /// Refresh + poll wall-clock — the figure the gate compares.
+    /// Refresh + poll wall-clock — the figure E18's table compares.
     pub fn total(&self) -> Duration {
         self.refresh_total + self.poll_total
     }
@@ -92,7 +92,7 @@ impl FreshModeResult {
 /// The deterministic update stream: round `i` lands one fresh NL.HGN BHZ
 /// file at 2010-01-13 00:{i:02}, far from the seed data so every file is
 /// genuinely new (insert-only delta, fresh file_ids).
-fn land_update(dir: &PathBuf, round: usize) {
+fn land_update(dir: &Path, round: usize) {
     let mut repo = Repository::open(dir).expect("bench repo reopens");
     let src = SourceId::new("NL", "HGN", "", "BHZ").expect("static source id");
     let start = Timestamp::from_ymd_hms(2010, 1, 13, 0, round as u32, 0, 0);
@@ -100,7 +100,7 @@ fn land_update(dir: &PathBuf, round: usize) {
 }
 
 /// Run one mode over its own mutable copy of `src`.
-pub fn run_fresh_mode(src: &PathBuf, cfg: &FreshConfig, incremental: bool) -> FreshModeResult {
+pub fn run_fresh_mode(src: &Path, cfg: &FreshConfig, incremental: bool) -> FreshModeResult {
     let mode = if incremental {
         "incremental"
     } else {
@@ -173,10 +173,7 @@ pub fn run_fresh_mode(src: &PathBuf, cfg: &FreshConfig, incremental: bool) -> Fr
 
 /// Run both modes over identical schedules; `results_match` is true when
 /// every final rendered answer agrees across modes.
-pub fn run_fresh_bench(
-    src: &PathBuf,
-    cfg: &FreshConfig,
-) -> (FreshModeResult, FreshModeResult, bool) {
+pub fn run_fresh_bench(src: &Path, cfg: &FreshConfig) -> (FreshModeResult, FreshModeResult, bool) {
     let incr = run_fresh_mode(src, cfg, true);
     let recomp = run_fresh_mode(src, cfg, false);
     let results_match = incr.final_answers == recomp.final_answers;

@@ -11,7 +11,7 @@
 //! with zone-map pruning on vs off, reporting `rows_pruned`.
 //!
 //! Everything is deterministic: the synthetic table derives from a fixed
-//! LCG seed, so baselines gate the behavioural counters tightly.
+//! LCG seed, so the behavioural counters are exact.
 
 use lazyetl_query::exec::{execute, ExecContext};
 use lazyetl_query::metrics::ExecMetrics;
@@ -44,6 +44,10 @@ pub struct KernelResult {
     pub scalar: Duration,
     /// Best wall-clock of the kernel path.
     pub vectorized: Duration,
+    /// Expression batches one kernel-path run evaluated on the kernels.
+    pub vectorized_batches: u64,
+    /// Expression batches one kernel-path run handed to the interpreter.
+    pub scalar_fallbacks: u64,
     /// Both paths produced byte-identical tables.
     pub results_match: bool,
 }
@@ -173,22 +177,28 @@ fn run_one(
         zone_map_pruning: false,
         ..ExecContext::new(catalog)
     };
+    let metrics = ExecMetrics::new();
     let vector_ctx = ExecContext {
         zone_map_pruning: false,
         ..ExecContext::new(catalog)
-    };
+    }
+    .with_metrics(&metrics);
     let (scalar_out, scalar) = best_of(reps, || {
         execute(&plan, &scalar_ctx).expect("scalar path executes")
     });
     let (vector_out, vectorized) = best_of(reps, || {
         execute(&plan, &vector_ctx).expect("vectorized path executes")
     });
+    let counters = metrics.snapshot();
+    let runs = reps.max(1) as u64;
     KernelResult {
         kernel,
         rows,
         out_rows: vector_out.num_rows(),
         scalar,
         vectorized,
+        vectorized_batches: counters.vectorized_batches / runs,
+        scalar_fallbacks: counters.scalar_fallbacks / runs,
         results_match: tables_equal(&scalar_out, &vector_out),
     }
 }
@@ -208,12 +218,18 @@ fn tables_equal(a: &Arc<Table>, b: &Arc<Table>) -> bool {
     true
 }
 
-/// Run the whole E15 suite at a row count (`reps` = best-of repetitions).
-pub fn run_kernel_bench(rows: usize, reps: usize) -> KernelBenchResult {
-    let catalog = build_bench_catalog(rows);
+/// Rows in a catalog built by [`build_bench_catalog`].
+fn catalog_rows(catalog: &Catalog) -> usize {
+    catalog.table("samples").expect("bench table").num_rows()
+}
+
+/// Run the whole E15 suite over a [`build_bench_catalog`] catalog
+/// (`reps` = best-of repetitions).
+pub fn run_kernel_bench(catalog: &Catalog, reps: usize) -> KernelBenchResult {
+    let rows = catalog_rows(catalog);
     let kernels = vec![
         run_one(
-            &catalog,
+            catalog,
             // Conjunction of a float compare and two string predicates:
             // the interpreter clones `station` once per row per predicate.
             "SELECT station, v FROM samples \
@@ -223,7 +239,7 @@ pub fn run_kernel_bench(rows: usize, reps: usize) -> KernelBenchResult {
             reps,
         ),
         run_one(
-            &catalog,
+            catalog,
             // Arithmetic chain over two columns incl. a NULL-bearing one.
             "SELECT v * 2.0 + 1.0 AS y, qual + 10 AS q, v - qual AS d FROM samples",
             "project",
@@ -231,7 +247,7 @@ pub fn run_kernel_bench(rows: usize, reps: usize) -> KernelBenchResult {
             reps,
         ),
         run_one(
-            &catalog,
+            catalog,
             // Int-keyed grouping with numeric and string accumulators:
             // MIN/MAX(station) is where the boxed path pays a String
             // clone per row.
@@ -246,14 +262,14 @@ pub fn run_kernel_bench(rows: usize, reps: usize) -> KernelBenchResult {
 
     // Zone map: `t` spans a known range; a filter beyond max is provably
     // empty, so the pruned run must skip the whole scan.
-    let src = TableSource::new(&catalog);
+    let src = TableSource::new(catalog);
     let sql = "SELECT COUNT(*) AS c FROM samples WHERE t > '2030-01-01T00:00:00.000'";
     let plan = optimize(&plan_sql(sql, &src).expect("bench SQL parses")).expect("plan optimizes");
     let metrics = ExecMetrics::new();
-    let pruned_ctx = ExecContext::new(&catalog).with_metrics(&metrics);
+    let pruned_ctx = ExecContext::new(catalog).with_metrics(&metrics);
     let unpruned_ctx = ExecContext {
         zone_map_pruning: false,
-        ..ExecContext::new(&catalog)
+        ..ExecContext::new(catalog)
     };
     let (pruned_out, pruned) = best_of(reps, || {
         execute(&plan, &pruned_ctx).expect("pruned run executes")
@@ -277,9 +293,9 @@ pub fn run_kernel_bench(rows: usize, reps: usize) -> KernelBenchResult {
 /// 4 execution workers over an identical plan. Every point's result must
 /// be byte-identical to the 1-worker run — the sweep measures scaling,
 /// the determinism harness in the query crate proves the equivalence.
-pub fn run_parallel_sweep(rows: usize, reps: usize) -> Vec<ParallelSweepResult> {
-    let catalog = build_bench_catalog(rows);
-    let src = TableSource::new(&catalog);
+pub fn run_parallel_sweep(catalog: &Catalog, reps: usize) -> Vec<ParallelSweepResult> {
+    let rows = catalog_rows(catalog);
+    let src = TableSource::new(catalog);
     // Every aggregate here is association-free, so parallel output is
     // bit-identical to serial: integer SUM totals in i128, integer AVG
     // sums exactly in f64 (totals stay far below 2^53), and MIN/MAX are
@@ -295,7 +311,7 @@ pub fn run_parallel_sweep(rows: usize, reps: usize) -> Vec<ParallelSweepResult> 
     let mut out = Vec::new();
     let mut baseline: Option<(Arc<Table>, Duration)> = None;
     for workers in [1usize, 2, 4] {
-        let ctx = ExecContext::new(&catalog).with_parallelism(workers);
+        let ctx = ExecContext::new(catalog).with_parallelism(workers);
         let (table, elapsed) =
             best_of(reps, || execute(&plan, &ctx).expect("sweep point executes"));
         let (serial_table, serial_elapsed) = baseline.get_or_insert((table.clone(), elapsed));
@@ -317,9 +333,8 @@ mod tests {
 
     #[test]
     fn kernel_bench_paths_agree_and_pruning_fires() {
-        // Small row count: this is a correctness smoke, not a perf claim
-        // (CI asserts the speedup floor on the release E15 run).
-        let r = run_kernel_bench(4_000, 1);
+        // Small row count: this is a correctness smoke, not a perf claim.
+        let r = run_kernel_bench(&build_bench_catalog(4_000), 1);
         assert_eq!(r.kernels.len(), 3);
         for k in &r.kernels {
             assert!(k.results_match, "{}: paths disagree", k.kernel);
@@ -331,7 +346,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_points_agree_with_serial() {
-        let sweep = run_parallel_sweep(10_000, 1);
+        let sweep = run_parallel_sweep(&build_bench_catalog(10_000), 1);
         assert_eq!(
             sweep.iter().map(|p| p.workers).collect::<Vec<_>>(),
             vec![1, 2, 4]

@@ -9,7 +9,6 @@
 pub mod concurrent;
 pub mod federated;
 pub mod fresh;
-pub mod json;
 pub mod kernels;
 pub mod planner;
 pub mod served;
@@ -18,7 +17,8 @@ pub mod warm_restart;
 use lazyetl_mseed::gen::{generate_repository, GeneratorConfig};
 use lazyetl_mseed::inventory::default_inventory;
 use lazyetl_mseed::Timestamp;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 // The Figure-1 mix, re-exported from its single source of truth in
@@ -117,7 +117,9 @@ fn cache_root() -> PathBuf {
 /// Materialize (or reuse) the repository for a configuration.
 ///
 /// Generation is deterministic, so a completed directory (signalled by a
-/// marker file) is reused as-is.
+/// marker file) is reused as-is. Safe to call from several threads or
+/// processes at once: each call generates into a private directory and
+/// renames it into place.
 pub fn materialize(tag: &str, config: &GeneratorConfig) -> PathBuf {
     let dir = cache_root().join(format!(
         "{tag}_s{}_c{}_f{}_d{}_r{}_x{:x}",
@@ -128,15 +130,49 @@ pub fn materialize(tag: &str, config: &GeneratorConfig) -> PathBuf {
         config.record_length,
         config.seed
     ));
+    build_once(&dir, |tmp| generate_repository(tmp, config).map(drop))
+        .expect("bench repo generation");
+    dir
+}
+
+/// Build `dir` unless it is already complete. `build` fills a private
+/// per-call directory, which is then renamed into place with its marker,
+/// so `dir` is never seen half-written. A caller that loses the rename to
+/// a concurrent one discards its own copy.
+pub(crate) fn build_once<E: From<std::io::Error>>(
+    dir: &Path,
+    build: impl FnOnce(&Path) -> Result<(), E>,
+) -> Result<(), E> {
     let marker = dir.join(".complete");
     if marker.exists() {
-        return dir;
+        return Ok(());
     }
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create bench repo dir");
-    generate_repository(&dir, config).expect("bench repo generation");
-    std::fs::write(&marker, b"ok").expect("write marker");
-    dir
+    let name = dir.file_name().expect("cache dirs are named");
+    let tmp = dir.with_file_name(format!(".{}.{}", name.to_string_lossy(), unique_suffix()));
+    std::fs::create_dir_all(&tmp)?;
+    build(&tmp)?;
+    std::fs::write(tmp.join(".complete"), b"ok")?;
+    if std::fs::rename(&tmp, dir).is_err() {
+        if !marker.exists() {
+            // A tree without a marker predates this scheme (an interrupted
+            // in-place build): replace it.
+            std::fs::remove_dir_all(dir).ok();
+            std::fs::rename(&tmp, dir)?;
+            return Ok(());
+        }
+        std::fs::remove_dir_all(&tmp)?;
+    }
+    Ok(())
+}
+
+/// A name part no other call, in this process or another, has used.
+fn unique_suffix() -> String {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "{}_{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    )
 }
 
 /// Materialize the repository for a named scale.
@@ -145,16 +181,15 @@ pub fn scale_repo(scale: ScaleName) -> PathBuf {
 }
 
 /// A fresh throwaway copy of a cached repository (for update experiments
-/// that mutate files).
-pub fn mutable_copy(src: &PathBuf, tag: &str) -> PathBuf {
-    let dst = cache_root().join(format!("mut_{tag}_{}", std::process::id()));
-    std::fs::remove_dir_all(&dst).ok();
+/// that mutate files), named per call.
+pub fn mutable_copy(src: &Path, tag: &str) -> PathBuf {
+    let dst = cache_root().join(format!("mut_{tag}_{}", unique_suffix()));
     copy_dir(src, &dst).expect("copy repo");
     std::fs::remove_file(dst.join(".complete")).ok();
     dst
 }
 
-pub(crate) fn copy_dir(src: &PathBuf, dst: &PathBuf) -> std::io::Result<()> {
+pub(crate) fn copy_dir(src: &Path, dst: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dst)?;
     for entry in std::fs::read_dir(src)? {
         let entry = entry?;
@@ -275,6 +310,59 @@ mod tests {
             .modified()
             .unwrap();
         assert_eq!(mtime, mtime2, "second call reuses the cache");
+    }
+
+    #[test]
+    fn concurrent_materialize_calls_all_see_the_complete_tree() {
+        let cfg = GeneratorConfig {
+            stations: default_inventory()[..2].to_vec(),
+            channels: vec!["BHZ".into()],
+            files_per_stream: 2,
+            file_duration_secs: 10,
+            seed: 0x4ACE,
+            ..Default::default()
+        };
+        let probe = materialize("race_probe", &cfg);
+        let want = sorted_listing(&probe);
+        assert!(want.len() > 1, "{want:?}");
+        // A tag no earlier run has used, so all four calls miss the marker.
+        let tag = format!("race_{}", unique_suffix());
+        let dirs: Vec<PathBuf> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| materialize(&tag, &cfg)))
+                .collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for dir in &dirs {
+            assert_eq!(dir, &dirs[0]);
+            assert_eq!(sorted_listing(dir), want, "{}", dir.display());
+        }
+        std::fs::remove_dir_all(&dirs[0]).unwrap();
+        let name = dirs[0].file_name().unwrap().to_string_lossy();
+        let leftovers: Vec<_> = std::fs::read_dir(cache_root())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(&*name))
+            .collect();
+        assert!(leftovers.is_empty(), "losers discard their copies");
+    }
+
+    /// Relative paths of every file under `dir`, the marker included.
+    fn sorted_listing(dir: &Path) -> Vec<PathBuf> {
+        fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    walk(root, &path, out);
+                } else {
+                    out.push(path.strip_prefix(root).unwrap().to_path_buf());
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(dir, dir, &mut out);
+        out.sort();
+        out
     }
 
     #[test]

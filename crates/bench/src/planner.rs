@@ -10,8 +10,8 @@
 //! * `heuristic` — `cost_based_planning: false`: the pre-cost optimizer
 //!   (no statistics, no join reordering, no EXPLAIN stage).
 //!
-//! Acceptance bars (gated by `tools/bench_gate.py` over `BENCH_e17.json`):
-//! the three configurations agree cell for cell; the seek configuration
+//! Acceptance bars (exact counts in `tests/experiments.rs`): the three
+//! configurations agree cell for cell; the seek configuration
 //! examines strictly fewer index entries than the linear sweep while
 //! pruning the same records; the costed configurations estimate every
 //! plan and the heuristic one estimates none.

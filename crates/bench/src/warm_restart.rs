@@ -177,9 +177,8 @@ mod tests {
         assert!(r.cold.records_extracted > 0, "cold restart re-extracts");
         assert_eq!(r.warm.records_extracted, 0, "warm restart does not");
         assert!(r.warm.hit_rate() > 0.99, "warm mix is all hits");
-        // The timing claim is a release claim (unoptimized segment
-        // parsing can lose to unoptimized Steim decoding); CI enforces it
-        // on the release E13 run via `warm_beats_cold` in BENCH_e13.json.
+        // The timing claim is a release claim: unoptimized segment
+        // parsing can lose to unoptimized Steim decoding.
         if !cfg!(debug_assertions) {
             assert!(
                 r.warm.time_to_first_insight() < r.cold.time_to_first_insight(),

@@ -70,7 +70,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// Largest mount index that fits the high half of a warehouse-global
@@ -132,13 +132,6 @@ pub struct WarehouseConfig {
     /// record cache checks file mtimes at every fetch. Benchmarks
     /// measuring pure query latency disable this.
     pub auto_refresh: bool,
-    /// Bounded staleness for auto-refresh (cf. the "lazy aggregates" line
-    /// of work the paper cites \[13\]): when set, the query-start rescan is
-    /// skipped if the previous one ran less than this long ago. Metadata
-    /// may then lag the repository by at most this bound; extracted
-    /// payloads stay fresh regardless, because the record cache checks
-    /// file mtimes at every fetch. `None` rescans on every query.
-    pub max_staleness: Option<Duration>,
     /// Apply the compile-time reorganization that evaluates metadata
     /// predicates first (§3.1). Disabling is the E4 ablation: every query
     /// degenerates to a full-repository extraction.
@@ -193,7 +186,6 @@ impl Default for WarehouseConfig {
             cache_budget_bytes: 256 << 20,
             cache_shards: crate::cache::DEFAULT_SHARDS,
             auto_refresh: true,
-            max_staleness: None,
             metadata_predicate_first: true,
             record_level_pruning: true,
             time_index_seek: true,
@@ -693,8 +685,6 @@ pub struct Warehouse {
     log: EtlLog,
     extractor: FormatRegistry,
     load_report: LoadReport,
-    /// When the repository was last rescanned (drives `max_staleness`).
-    last_rescan: Mutex<Instant>,
 }
 
 /// Compile-time proof that the warehouse can be shared across threads.
@@ -906,7 +896,6 @@ impl Warehouse {
             log,
             extractor: FormatRegistry::default(),
             load_report,
-            last_rescan: Mutex::new(Instant::now()),
         }
     }
 
@@ -1082,14 +1071,7 @@ impl Warehouse {
             refresh: None,
             result_recycled: false,
         };
-        let within_staleness_bound = self.config.max_staleness.is_some_and(|bound| {
-            self.last_rescan
-                .lock()
-                .expect("last_rescan poisoned")
-                .elapsed()
-                < bound
-        });
-        if self.config.auto_refresh && !within_staleness_bound && !self.read_state().unchanged() {
+        if self.config.auto_refresh && !self.read_state().unchanged() {
             let summary = self.refresh()?;
             if !summary.is_noop() {
                 report.refresh = Some(summary);
@@ -1458,7 +1440,6 @@ impl Warehouse {
                 .into_iter()
                 .all(|empty| empty);
             if quiet {
-                *self.last_rescan.lock().expect("last_rescan poisoned") = Instant::now();
                 return Ok(RefreshSummary {
                     elapsed: t0.elapsed(),
                     ..Default::default()
@@ -1490,7 +1471,6 @@ impl Warehouse {
             }
             changes.push(change);
         }
-        *self.last_rescan.lock().expect("last_rescan poisoned") = Instant::now();
         if summary.is_noop() {
             summary.elapsed = t0.elapsed();
             return Ok(summary);

@@ -1,89 +1,27 @@
-//! Bounded-staleness refresh: `max_staleness` trades metadata freshness
-//! for query-start latency, the knob the paper's related work calls
-//! "bounds on staleness".
+//! Manual refresh: with `auto_refresh` off, metadata moves only on an
+//! explicit `refresh()`, yet record payloads never go stale, because the
+//! record cache checks file mtimes at every fetch.
 
 mod common;
 
 use common::figure1_repo;
 use lazyetl::core::warehouse::{Warehouse, WarehouseConfig};
 use lazyetl::repo::{updates, Repository};
-use std::time::Duration;
 
 const COUNT_RECORDS: &str = "SELECT COUNT(*) FROM mseed.records";
-
-fn count_of(wh: &mut Warehouse) -> String {
-    wh.query(COUNT_RECORDS).unwrap().table.to_ascii(10)
-}
-
-#[test]
-fn within_bound_queries_skip_the_rescan() {
-    let repo = figure1_repo("stale_skip", 512);
-    let mut wh = Warehouse::open_lazy(
-        &repo.root,
-        WarehouseConfig {
-            auto_refresh: true,
-            max_staleness: Some(Duration::from_secs(3600)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let before = count_of(&mut wh);
-
-    // Change the repository behind the warehouse's back.
-    let mut raw = Repository::open(repo.root.clone()).unwrap();
-    let target = raw.files()[0].uri.clone();
-    updates::append_records(&mut raw, &target, 10, 3).unwrap();
-
-    // Within the bound: the stale metadata is intentionally served.
-    let during = count_of(&mut wh);
-    assert_eq!(during, before, "metadata lag is allowed inside the bound");
-
-    // A manual refresh always folds the changes in.
-    let summary = wh.refresh().unwrap();
-    assert_eq!(summary.modified, 1);
-    let after = count_of(&mut wh);
-    assert_ne!(after, before, "appended records visible after refresh");
-}
-
-#[test]
-fn zero_bound_behaves_like_every_query() {
-    let repo = figure1_repo("stale_zero", 512);
-    let mut wh = Warehouse::open_lazy(
-        &repo.root,
-        WarehouseConfig {
-            auto_refresh: true,
-            max_staleness: Some(Duration::ZERO),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let before = count_of(&mut wh);
-
-    let mut raw = Repository::open(repo.root.clone()).unwrap();
-    let target = raw.files()[0].uri.clone();
-    updates::append_records(&mut raw, &target, 10, 3).unwrap();
-
-    let out = wh.query(COUNT_RECORDS).unwrap();
-    assert!(
-        out.report.refresh.is_some(),
-        "zero bound rescans on every query"
-    );
-    assert_ne!(out.table.to_ascii(10), before);
-}
 
 #[test]
 fn bound_is_irrelevant_when_auto_refresh_is_off() {
     let repo = figure1_repo("stale_off", 512);
-    let mut wh = Warehouse::open_lazy(
+    let wh = Warehouse::open_lazy(
         &repo.root,
         WarehouseConfig {
             auto_refresh: false,
-            max_staleness: Some(Duration::ZERO),
             ..Default::default()
         },
     )
     .unwrap();
-    let before = count_of(&mut wh);
+    let before = wh.query(COUNT_RECORDS).unwrap().table.to_ascii(10);
 
     let mut raw = Repository::open(repo.root.clone()).unwrap();
     let target = raw.files()[0].uri.clone();
@@ -92,19 +30,24 @@ fn bound_is_irrelevant_when_auto_refresh_is_off() {
     let out = wh.query(COUNT_RECORDS).unwrap();
     assert!(out.report.refresh.is_none());
     assert_eq!(out.table.to_ascii(10), before, "manual mode never rescans");
+
+    // A manual refresh always folds the changes in.
+    assert_eq!(wh.refresh().unwrap().modified, 1);
+    let after = wh.query(COUNT_RECORDS).unwrap().table.to_ascii(10);
+    assert_ne!(after, before, "appended records visible after refresh");
 }
 
 #[test]
 fn record_payloads_stay_fresh_inside_the_bound() {
-    // Even while metadata is allowed to lag, the record cache checks file
-    // mtimes at fetch time, so payload queries never serve bytes from a
-    // superseded file version.
+    // Even while metadata lags (auto-refresh off: the touch events below
+    // would otherwise trigger a refresh first), the record cache checks
+    // file mtimes at fetch time, so payload queries never serve bytes from
+    // a superseded file version.
     let repo = figure1_repo("stale_payload", 512);
     let wh = Warehouse::open_lazy(
         &repo.root,
         WarehouseConfig {
-            auto_refresh: true,
-            max_staleness: Some(Duration::from_secs(3600)),
+            auto_refresh: false,
             ..Default::default()
         },
     )
@@ -124,7 +67,7 @@ fn record_payloads_stay_fresh_inside_the_bound() {
     let out = wh.query(warm_sql).unwrap();
     assert!(
         out.report.stale_drops > 0,
-        "mtime change forces re-extraction even inside the staleness bound"
+        "mtime change forces re-extraction while the metadata lags"
     );
     assert_eq!(
         wh.cache_snapshot().stats.hits,
