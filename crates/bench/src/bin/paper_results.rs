@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Output is markdown-ish text, suitable for pasting into reports. The
-//! counts E3 and E12–E18 report are asserted by
+//! counts E3, E4 and E12–E18 report are asserted by
 //! `crates/bench/tests/experiments.rs`; this binary only prints.
 
 use lazyetl_bench::concurrent::{run_concurrent_mix, ConcurrentConfig};
@@ -217,43 +217,33 @@ fn e4_selectivity(scale: ScaleName) {
         &rows,
     );
 
-    // Ablations called out in ARCHITECTURE.md: metadata-predicates-first and
-    // record-level pruning, measured on the most selective query.
-    let sql = FIGURE1_Q1;
-    let mut ablation_rows = Vec::new();
-    for (label, meta_first, pruning) in [
-        ("full lazy ETL", true, true),
-        ("no record-level pruning", true, false),
-        ("no metadata-first reorganization", false, true),
-    ] {
-        let wh = Warehouse::open_lazy(
-            &dir,
-            WarehouseConfig {
-                metadata_predicate_first: meta_first,
-                record_level_pruning: pruning,
-                auto_refresh: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (out, t) = time(|| wh.query(sql).unwrap());
-        let r = out.report.rewrite.unwrap();
-        ablation_rows.push(vec![
-            label.to_string(),
-            fmt_dur(t),
-            r.fetched_pairs.to_string(),
-            out.report.files_extracted.len().to_string(),
-        ]);
-    }
+    // What metadata-predicates-first and record-level pruning save on the
+    // most selective query. Without metadata-first every record in the
+    // index is extracted; without record-level pruning every candidate of
+    // the metadata join is; the pipeline extracts only what survives both.
+    let wh = Warehouse::open_lazy(&dir, base_config()).unwrap();
+    let (out, t) = time(|| wh.query(FIGURE1_Q1).unwrap());
+    let r = out.report.rewrite.unwrap();
     print_table(
-        &format!("E4b — Ablations on Figure-1 Q1 ({} scale)", scale.label()),
+        &format!(
+            "E4b — Records Figure-1 Q1 extracts with each stage of §3.1 left out ({} scale)",
+            scale.label()
+        ),
+        &["configuration", "records extracted"],
         &[
-            "configuration",
-            "cold query",
-            "records extracted",
-            "files touched",
+            vec![
+                "without metadata-first".into(),
+                wh.load_report().records.to_string(),
+            ],
+            vec![
+                "without record-level pruning".into(),
+                r.candidate_pairs.to_string(),
+            ],
+            vec![
+                format!("full lazy ETL ({} cold)", fmt_dur(t)),
+                r.fetched_pairs.to_string(),
+            ],
         ],
-        &ablation_rows,
     );
 }
 
@@ -650,38 +640,33 @@ fn e16_federated(scale: ScaleName) {
     );
 }
 
-/// E17: cost-based planner & ordered time index — the same window-query
-/// mix under the full pipeline, the linear-sweep ablation and the
-/// heuristic (no-cost) ablation: equal answers, fewer index entries
-/// examined under the seek, and the estimate accounting
+/// E17: cost-based planner & ordered time index — the window-query mix
+/// through the warehouse's pipeline: index entries the seek examined
+/// against the `fetched + pruned` candidates a linear sweep would
+/// examine, and the estimate accounting
 /// (`crates/bench/tests/experiments.rs`).
 fn e17_planner(scale: ScaleName) {
     use lazyetl_bench::planner::run_planner_bench;
-    let dir = scale_repo(scale);
-    let results = run_planner_bench(&dir);
-    let mut rows = Vec::new();
-    for r in &results {
-        rows.push(vec![
-            r.config.to_string(),
-            r.queries.to_string(),
-            fmt_dur(r.cold),
-            r.index_seeks.to_string(),
-            r.entries_examined.to_string(),
-            r.fetched_pairs.to_string(),
-            r.pruned_pairs.to_string(),
-            r.plans_estimated.to_string(),
-            r.estimate_abs_error.to_string(),
-            r.results_match.to_string(),
-        ]);
-    }
+    let r = run_planner_bench(&scale_repo(scale));
+    let rows = vec![vec![
+        r.queries.to_string(),
+        fmt_dur(r.cold),
+        r.index_seeks.to_string(),
+        r.entries_examined.to_string(),
+        r.sweep_entries().to_string(),
+        r.fetched_pairs.to_string(),
+        r.pruned_pairs.to_string(),
+        r.plans_estimated.to_string(),
+        r.estimate_abs_error.to_string(),
+    ]];
     print_table(
         &format!(
-            "E17 — Cost-based planning & time index ({} scale): window mix under seek / linear sweep / heuristic planner",
+            "E17 — Cost-based planning & time index ({} scale): window mix, seek vs the entries a linear sweep would examine",
             scale.label()
         ),
         &[
-            "config", "queries", "cold mix", "index seeks", "entries examined",
-            "fetched", "pruned", "plans estimated", "abs error", "match",
+            "queries", "cold mix", "index seeks", "seek examined", "sweep examined",
+            "fetched", "pruned", "plans estimated", "abs error",
         ],
         &rows,
     );
@@ -1018,7 +1003,8 @@ fn e8_observability(scale: ScaleName) {
 }
 
 /// E18: fresh-data polling — a steady update stream under K pollers,
-/// incremental result maintenance vs drop-and-recompute.
+/// incremental result maintenance vs a recycler-off warehouse that
+/// recomputes every poll.
 fn e18_fresh(scale: ScaleName) {
     use lazyetl_bench::fresh::{run_fresh_bench, FreshConfig, FRESH_QUERIES};
     let src = scale_repo(scale);

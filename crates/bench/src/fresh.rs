@@ -10,12 +10,12 @@
 //! Two modes run the *identical* update + poll schedule and differ in a
 //! single configuration bit:
 //!
-//! * **incremental** — `maintain_recycled_results: true`: the refresh
-//!   delta patches resident recycled results in place, so every poll
-//!   after the first pays O(delta);
-//! * **recompute** — `maintain_recycled_results: false`: a refresh drops
-//!   affected entries and the first poller of each round recomputes each
-//!   query from scratch.
+//! * **incremental** — `recycle_query_results: true`: the refresh delta
+//!   patches resident recycled results in place, so every poll after the
+//!   first pays O(delta);
+//! * **recompute** — `recycle_query_results: false`: no result is
+//!   recycled, so every poll recomputes its query from scratch (record
+//!   payloads still come from the record cache).
 //!
 //! The harness also cross-checks the final rendered answers of both
 //! modes — the bench doubles as an end-to-end incremental ≡ recompute
@@ -111,8 +111,7 @@ pub fn run_fresh_mode(src: &Path, cfg: &FreshConfig, incremental: bool) -> Fresh
         &dir,
         WarehouseConfig {
             auto_refresh: false,
-            recycle_query_results: true,
-            maintain_recycled_results: incremental,
+            recycle_query_results: incremental,
             ..Default::default()
         },
     )
@@ -206,9 +205,9 @@ mod tests {
             incr.recycler
         );
         assert_eq!(
-            recomp.recycler.results_patched, 0,
-            "recompute mode must not patch: {:?}",
-            recomp.recycler
+            recomp.recycler,
+            ResultCacheStats::default(),
+            "recompute mode must not touch the recycler"
         );
     }
 }

@@ -18,7 +18,7 @@ use lazyetl_bench::served::{
     ServedConfig, ServedRunResult,
 };
 use lazyetl_bench::warm_restart::run_warm_restart_reps;
-use lazyetl_bench::{scale_repo, ScaleName, FIGURE1_Q1, FIGURE1_Q2};
+use lazyetl_bench::{scale_repo, selectivity_query, ScaleName, FIGURE1_Q1, FIGURE1_Q2};
 use lazyetl_core::qcache::ResultCacheStats;
 use lazyetl_core::{Warehouse, WarehouseConfig};
 use std::sync::Arc;
@@ -48,6 +48,30 @@ fn e3_figure1_queries_extract_exactly_what_they_touch() {
         assert_eq!(warm.records_extracted, 0, "{sql}");
         assert_eq!(warm.cache_hits, records, "{sql}");
     }
+}
+
+/// E4: each station the selectivity sweep adds costs one more file, and
+/// on Figure-1 Q1 metadata-first narrows the 70 indexed records to 7
+/// candidates, which record-level pruning narrows to none.
+#[test]
+fn e4_extraction_follows_selectivity_and_q1_funnel_is_exact() {
+    for k in 1..=5 {
+        let wh = tiny_lazy(manual_refresh());
+        let out = wh.query(&selectivity_query(k)).unwrap().report;
+        assert_eq!(
+            (out.files_extracted.len(), out.records_extracted),
+            (k, 7 * k),
+            "{k} stations"
+        );
+    }
+    let wh = tiny_lazy(manual_refresh());
+    let out = wh.query(FIGURE1_Q1).unwrap().report;
+    let r = out.rewrite.expect("Q1 reads data");
+    assert_eq!(
+        (wh.load_report().records, r.candidate_pairs, r.fetched_pairs),
+        (70, 7, 0)
+    );
+    assert_eq!(out.records_extracted, 0);
 }
 
 /// E12: after a cold storm, a warm storm of concurrent clients extracts
@@ -273,46 +297,34 @@ fn e16_federated_accounting_is_exact_per_mount() {
     );
 }
 
-/// E17: the time index seeks where the sweep scans, both prune the same
-/// records, and only the costed planner estimates.
+/// E17: the time index examines 70 entries where a linear sweep over the
+/// same candidates would examine 287, and every plan is estimated exactly.
 #[test]
 fn e17_index_seek_and_cost_accounting_are_exact() {
-    let runs = run_planner_bench_at(ScaleName::Tiny);
-    let counts: Vec<(&str, u64, u64, usize, usize, u64)> = runs
-        .iter()
-        .map(|r| {
-            (
-                r.config,
-                r.index_seeks,
-                r.entries_examined,
-                r.fetched_pairs,
-                r.pruned_pairs,
-                r.plans_estimated,
-            )
-        })
-        .collect();
+    let r = run_planner_bench_at(ScaleName::Tiny);
     assert_eq!(
-        counts,
-        [
-            ("seek", 5, 70, 70, 217, 6),
-            ("sweep", 0, 287, 70, 217, 6),
-            ("heuristic", 5, 70, 70, 217, 0),
-        ]
+        (
+            r.index_seeks,
+            r.entries_examined,
+            r.fetched_pairs,
+            r.pruned_pairs,
+            r.plans_estimated,
+        ),
+        (5, 70, 70, 217, 6),
+        "{r:?}"
     );
-    for r in &runs {
-        assert_eq!(
-            (r.queries, r.rows, r.estimate_abs_error),
-            (6, 10, 0),
-            "{r:?}"
-        );
-        assert!(r.results_match, "{}: answers diverged from seek", r.config);
-    }
+    assert_eq!(r.sweep_entries(), 287, "{r:?}");
+    assert_eq!(
+        (r.queries, r.rows, r.estimate_abs_error),
+        (6, 10, 0),
+        "{r:?}"
+    );
 }
 
 /// E18: under a steady update stream, incremental maintenance patches
-/// every resident result and recompute drops each one, with equal
-/// answers. The recycler's hit and miss counts stand in for the speed
-/// comparison.
+/// every resident result, and a recycler-off warehouse that recomputes
+/// every poll gives equal answers. The recycler's hit and miss counts
+/// stand in for the speed comparison.
 #[test]
 fn e18_incremental_maintenance_patches_where_recompute_falls_back() {
     let cfg = FreshConfig::default();
@@ -321,29 +333,20 @@ fn e18_incremental_maintenance_patches_where_recompute_falls_back() {
     for r in [&incr, &recomp] {
         assert_eq!((r.rounds, r.pollers, r.polls), (5, 4, 60), "{}", r.mode);
     }
-    // Each mode looks up 3 warm-up queries, 60 polls and 3 final queries.
-    let counts = |s: &ResultCacheStats| {
+    // Incremental mode looks up 3 warm-up queries, 60 polls and 3 final
+    // queries, and misses only while warming up.
+    let s = &incr.recycler;
+    assert_eq!(
         (
             s.results_patched,
             s.patch_rows_applied,
             s.recompute_fallbacks,
             s.hits + s.misses,
-        )
-    };
-    assert_eq!(
-        counts(&incr.recycler),
+        ),
         (15, 15, 0, 66),
-        "{:?}",
-        incr.recycler
+        "{s:?}"
     );
-    assert_eq!(
-        counts(&recomp.recycler),
-        (0, 0, 15, 66),
-        "{:?}",
-        recomp.recycler
-    );
-    // Incremental mode misses only while warming up; recompute misses at
-    // least once per dropped entry (more often as the pollers interleave).
-    assert_eq!(incr.recycler.hits, 63, "{:?}", incr.recycler);
-    assert!(recomp.recycler.misses >= 3 + 15, "{:?}", recomp.recycler);
+    assert_eq!(s.hits, 63, "{s:?}");
+    // The baseline never consults the recycler: every poll recomputes.
+    assert_eq!(recomp.recycler, ResultCacheStats::default());
 }

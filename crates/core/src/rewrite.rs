@@ -416,15 +416,32 @@ pub type MetadataExec<'a> = dyn Fn(&LogicalPlan) -> Result<Arc<Table>> + 'a;
 pub type FetchFn<'a> = dyn FnMut(&[(i64, i64)]) -> Result<Arc<Table>> + 'a;
 
 /// Context the rewriter needs from the warehouse.
+///
+/// The warehouse always uses [`RewriteContext::new`]; the flags' `false`
+/// arms remain as references for this module's tests and for callers
+/// that drive the rewrite directly.
 pub struct RewriteContext<'a> {
     /// Record locators and time ranges.
     pub index: &'a LocatorIndex,
-    /// Apply record-level sample-time pruning (ablation flag).
+    /// Apply record-level sample-time pruning; `false` fetches every
+    /// candidate.
     pub record_level_pruning: bool,
     /// Serve record-level pruning with the ordered time index's
-    /// binary-search seek; `false` is the E17 baseline's linear sweep
-    /// (identical kept set, every candidate examined).
+    /// binary-search seek; `false` sweeps linearly (identical kept set,
+    /// every candidate examined).
     pub time_index_seek: bool,
+}
+
+impl<'a> RewriteContext<'a> {
+    /// The full pipeline over `index`: records pruned by a time-index
+    /// seek.
+    pub fn new(index: &'a LocatorIndex) -> RewriteContext<'a> {
+        RewriteContext {
+            index,
+            record_level_pruning: true,
+            time_index_seek: true,
+        }
+    }
 }
 
 /// Run-time plan rewrite: replace every external-data scan with the

@@ -59,12 +59,10 @@ use crate::qcache::{QueryResultCache, ResultCacheSnapshot, ResultMeta, ResultSco
 use crate::rewrite::{lazy_rewrite, LocatorIndex, RewriteContext, RewriteReport};
 use crate::schema::{self, DATA_TABLE, FILES_TABLE, RECORDS_TABLE};
 use lazyetl_query::exec::{execute, ExecContext};
-use lazyetl_query::optimizer::{
-    coerce_timestamp_literals, fold_constants, optimize, optimize_with_cost,
-};
+use lazyetl_query::optimizer::optimize_with_cost;
 use lazyetl_query::planner::{plan_select, TableSource};
 use lazyetl_query::{classify, parse_select, CostModel, LogicalPlan, MaintPlan, Maintainability};
-use lazyetl_repo::{AccessProfile, FileEntry, FileId, LazySource, RepoError, Repository};
+use lazyetl_repo::{FileEntry, FileId, LazySource, RepoError, Repository};
 use lazyetl_store::{Catalog, ColumnData, Table};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Deref;
@@ -108,7 +106,14 @@ pub enum Mode {
     Eager,
 }
 
-/// Tunables; defaults reproduce the paper's configuration.
+/// What a deployment sizes and switches; defaults reproduce the paper's
+/// configuration.
+///
+/// The paper's pipeline itself has no off position: metadata predicates
+/// run first, records are pruned through the time index, plans are costed
+/// on catalog statistics, and recycled results are maintained across
+/// refreshes. A source's access-cost profile belongs to the source (see
+/// [`WarehouseBuilder`]), not to this struct.
 #[derive(Debug, Clone)]
 pub struct WarehouseConfig {
     /// Byte budget of the recycling cache ("not larger than the size of
@@ -132,40 +137,17 @@ pub struct WarehouseConfig {
     /// record cache checks file mtimes at every fetch. Benchmarks
     /// measuring pure query latency disable this.
     pub auto_refresh: bool,
-    /// Apply the compile-time reorganization that evaluates metadata
-    /// predicates first (§3.1). Disabling is the E4 ablation: every query
-    /// degenerates to a full-repository extraction.
-    pub metadata_predicate_first: bool,
-    /// Prune candidate records whose time range cannot intersect the
-    /// query's sample-time predicates (ablation flag).
-    pub record_level_pruning: bool,
-    /// Serve record-level pruning with the ordered time index's
-    /// binary-search seek. `false` is the E17 baseline: the same pairs are
-    /// kept, but pruning sweeps every candidate record linearly.
-    pub time_index_seek: bool,
-    /// Plan with the cost model (cardinality estimates over the catalog's
-    /// zone-map statistics, selectivity-driven join reordering, per-source
-    /// access-cost multipliers). `false` keeps the pure heuristic pipeline
-    /// — the pre-upgrade behaviour and the E17 planner ablation. Results
-    /// are identical either way; only plan shape and cost change.
-    pub cost_based_planning: bool,
     /// Recycle **final query results** keyed by SQL text within the
     /// current generation (the second recycler level of §3.3; experiment
     /// E11). A repeat of the same text is answered after the refresh
     /// probe without being compiled; texts that differ only in whitespace
-    /// or case are separate entries. Off by default so per-query
-    /// extraction accounting stays observable.
+    /// or case are separate entries. An insert-only refresh patches
+    /// maintainable entries from its delta instead of dropping them. Off
+    /// by default so per-query extraction accounting stays observable.
     pub recycle_query_results: bool,
     /// Byte budget of the result recycler (only used when
     /// [`recycle_query_results`](Self::recycle_query_results) is on).
     pub result_cache_budget_bytes: usize,
-    /// Maintain recycled results incrementally across insert-only
-    /// refreshes (patch filter/project/aggregate results from the delta)
-    /// instead of dropping them. `false` is the E18 recompute baseline:
-    /// maintainable plans are then admitted opaque, so a refresh keeps
-    /// them only when it touches none of their tables. Time-scoped
-    /// entries keep their time-window check either way.
-    pub maintain_recycled_results: bool,
     /// Worker threads for the extraction phase of lazy fetches (file
     /// granularity; experiment E10). `1` is the paper's sequential
     /// behaviour; higher values overlap decoding of independent files
@@ -176,8 +158,6 @@ pub struct WarehouseConfig {
     /// reference executor; the determinism harness in the query crate
     /// proves higher values never change observable results.
     pub parallelism: usize,
-    /// Simulated remote-access cost model for experiment accounting.
-    pub access: AccessProfile,
 }
 
 impl Default for WarehouseConfig {
@@ -186,16 +166,10 @@ impl Default for WarehouseConfig {
             cache_budget_bytes: 256 << 20,
             cache_shards: crate::cache::DEFAULT_SHARDS,
             auto_refresh: true,
-            metadata_predicate_first: true,
-            record_level_pruning: true,
-            time_index_seek: true,
-            cost_based_planning: true,
             recycle_query_results: false,
             result_cache_budget_bytes: 64 << 20,
-            maintain_recycled_results: true,
             extraction_threads: 1,
             parallelism: 1,
-            access: AccessProfile::local(),
         }
     }
 }
@@ -215,7 +189,7 @@ pub struct LoadReport {
     pub bytes_read: u64,
     /// Wall-clock duration of the load.
     pub elapsed: Duration,
-    /// Simulated remote-access time under [`WarehouseConfig::access`].
+    /// Simulated remote-access time under each source's access profile.
     pub simulated_io: Duration,
 }
 
@@ -713,8 +687,10 @@ const _: fn() = || {
 /// Mount order is part of the warehouse identity: global file ids embed
 /// the mount index, so saved state reopens correctly only under the same
 /// names in the same order (drifted mounts degrade to a fresh reload).
-/// The builder never touches a source's [`AccessProfile`] — each backend
-/// keeps the profile it was constructed with.
+/// The builder never touches a source's
+/// [`AccessProfile`](lazyetl_repo::AccessProfile) — each backend keeps the
+/// profile it was constructed with, so a modeled remote link is a source
+/// built with that profile.
 #[derive(Default)]
 pub struct WarehouseBuilder {
     config: WarehouseConfig,
@@ -813,8 +789,7 @@ impl Warehouse {
     /// Open a repository lazily: load only metadata; the warehouse is
     /// ready for queries immediately.
     ///
-    /// Shim over [`WarehouseBuilder`]: one local mount named `repo`,
-    /// accessed under [`WarehouseConfig::access`].
+    /// Shim over [`WarehouseBuilder`]: one local mount named `repo`.
     pub fn open_lazy(root: impl AsRef<Path>, config: WarehouseConfig) -> Result<Warehouse> {
         Self::open_dir(root, config, Mode::Lazy)
     }
@@ -827,12 +802,10 @@ impl Warehouse {
     }
 
     fn open_dir(root: impl AsRef<Path>, config: WarehouseConfig, mode: Mode) -> Result<Warehouse> {
-        let mut repo = Repository::open(root.as_ref().to_path_buf())?;
-        repo.access = config.access;
         WarehouseBuilder::new()
             .config(config)
             .mode(mode)
-            .source("repo", Box::new(repo))
+            .local_dir("repo", root)?
             .open()
     }
 
@@ -1111,33 +1084,24 @@ impl Warehouse {
         report.stages.push(("optimized".into(), plan.display()));
         self.log.push(EtlOp::PlanRewrite {
             stage: "compile-time".into(),
-            detail: if cost_model.is_some() {
-                "predicates pushed toward metadata scans; joins costed on table statistics".into()
-            } else if self.config.metadata_predicate_first {
-                "predicates pushed toward metadata scans".into()
-            } else {
-                "pushdown disabled (ablation)".into()
-            },
+            detail: "predicates pushed toward metadata scans; joins costed on table statistics"
+                .into(),
         });
 
         // Classify the plan for incremental maintenance / scoped
         // invalidation; the class travels with the admitted entry.
         let classification = recycle.then(|| classify(&plan));
         let maint: Option<&MaintPlan> = match &classification {
-            Some(Maintainability::Maintainable(m)) if self.config.maintain_recycled_results => {
-                Some(m)
-            }
+            Some(Maintainability::Maintainable(m)) => Some(m),
             _ => None,
         };
 
-        // Run-time lazy rewrite (lazy mode only). The optimized plan is
-        // kept aside: the rewrite replaces its scans with injected data,
-        // and EXPLAIN's join-order/access report describes the plan as
-        // chosen, not as materialized.
-        let optimized_plan = cost_model.as_ref().map(|_| plan.clone());
-        // Maintainable plans execute in augmented form (AVG companions
-        // appended, the planner's top projection peeled) so the raw
-        // aggregate state can be cached alongside the visible result.
+        // Run-time lazy rewrite (lazy mode only) works on a copy: the
+        // rewrite replaces its scans with injected data, and EXPLAIN's
+        // join-order/access report describes `plan` as chosen, not as
+        // materialized. Maintainable plans execute in augmented form (AVG
+        // companions appended, the planner's top projection peeled) so the
+        // raw aggregate state can be cached alongside the visible result.
         let run_plan = match maint {
             Some(m) => m.exec_plan.clone(),
             None => plan.clone(),
@@ -1163,11 +1127,7 @@ impl Warehouse {
                         state, counters, extractor, cache, log, threads, pairs, &mut stats,
                     )
                 };
-                let ctx = RewriteContext {
-                    index: &state.index,
-                    record_level_pruning: self.config.record_level_pruning,
-                    time_index_seek: self.config.time_index_seek,
-                };
+                let ctx = RewriteContext::new(&state.index);
                 let rewritten =
                     lazy_rewrite(&run_plan, &ctx, &exec_meta, &mut fetch, &mut rewrite_report)?;
                 if rewrite_report.index_seek || rewrite_report.index_entries_examined > 0 {
@@ -1207,8 +1167,7 @@ impl Warehouse {
         // injected data is estimable), proving the estimate never peeks
         // at the result it predicts.
         let estimated = cost_model
-            .as_ref()
-            .and_then(|m| m.estimate_rows(&final_plan))
+            .estimate_rows(&final_plan)
             .map(|r| r.round().max(0.0) as u64);
 
         // Execute.
@@ -1220,24 +1179,22 @@ impl Warehouse {
             Some(project) => execute(&project, &exec_ctx).map_err(EtlError::Query)?,
             None => state_table.clone(),
         };
-        if let (Some(model), Some(chosen)) = (&cost_model, &optimized_plan) {
-            if let Some(est) = estimated {
-                self.exec_metrics.add_estimate(est, table.num_rows() as u64);
-            }
-            report.stages.push((
-                "explain".into(),
-                render_explain(
-                    chosen,
-                    model,
-                    estimated,
-                    table.num_rows(),
-                    report.rewrite.as_ref(),
-                ),
-            ));
+        if let Some(est) = estimated {
+            self.exec_metrics.add_estimate(est, table.num_rows() as u64);
         }
+        report.stages.push((
+            "explain".into(),
+            render_explain(
+                &plan,
+                &cost_model,
+                estimated,
+                table.num_rows(),
+                report.rewrite.as_ref(),
+            ),
+        ));
         if let Some(class) = &classification {
-            let meta = match (class, maint) {
-                (_, Some(m)) => ResultMeta {
+            let meta = match class {
+                Maintainability::Maintainable(m) => ResultMeta {
                     tables: Some(m.tables.clone()),
                     interval: crate::rewrite::sample_time_interval(&plan),
                     scope: ResultScope::Maintainable {
@@ -1246,19 +1203,13 @@ impl Warehouse {
                         state: state_table.clone(),
                     },
                 },
-                (Maintainability::TimeScoped { tables }, _) => ResultMeta {
+                Maintainability::TimeScoped { tables } => ResultMeta {
                     tables: Some(tables.clone()),
                     interval: crate::rewrite::sample_time_interval(&plan),
                     scope: ResultScope::TimeScoped,
                 },
-                // Maintainable plan with maintenance disabled, or opaque:
-                // only the table-scope keep applies.
-                (Maintainability::Maintainable(m), None) => ResultMeta {
-                    tables: Some(m.tables.clone()),
-                    interval: (None, None),
-                    scope: ResultScope::Opaque,
-                },
-                (Maintainability::Opaque, _) => ResultMeta {
+                // Opaque: only the table-scope keep applies.
+                Maintainability::Opaque => ResultMeta {
                     tables: Some(lazyetl_query::maintain::referenced_tables(&plan)),
                     interval: (None, None),
                     scope: ResultScope::Opaque,
@@ -1336,10 +1287,10 @@ impl Warehouse {
     /// Explain a query: run the pipeline and return the per-stage plans.
     ///
     /// In lazy mode this performs the run-time rewrite (and therefore the
-    /// extraction) — exactly what the demo shows its audience. With
-    /// cost-based planning on, the final `explain` stage reports the
-    /// chosen join order, estimated vs. actual result rows, and whether
-    /// record pruning was an index seek or a scan.
+    /// extraction) — exactly what the demo shows its audience. The final
+    /// `explain` stage reports the chosen join order, estimated vs. actual
+    /// result rows, and how many time-index entries record pruning
+    /// examined (or that the query has no sample-time window).
     ///
     /// With result recycling on, a query whose SQL text was already
     /// answered in the current generation is a recycler hit: nothing is
@@ -1349,16 +1300,16 @@ impl Warehouse {
     }
 
     /// The query front end: parse, resolve tables for this warehouse's
-    /// mode, plan, and optimize as the configuration says. Returns the
-    /// logical plan, the optimized plan, and the cost model when the
-    /// optimization was costed. [`Self::query`], [`Self::plan_preview`]
-    /// and [`Self::estimate_query_rows`] all compile here, so none of them
-    /// can describe a plan the warehouse would not run.
+    /// mode, plan, and optimize on the cost model. Returns the logical
+    /// plan, the optimized plan, and the cost model it was optimized on.
+    /// [`Self::query`], [`Self::plan_preview`] and
+    /// [`Self::estimate_query_rows`] all compile here, so none of them can
+    /// describe a plan the warehouse would not run.
     fn compile(
         &self,
         state: &WarehouseState,
         sql: &str,
-    ) -> Result<(LogicalPlan, LogicalPlan, Option<CostModel>)> {
+    ) -> Result<(LogicalPlan, LogicalPlan, CostModel)> {
         let stmt = parse_select(sql)?;
         let source = match self.mode {
             Mode::Lazy => {
@@ -1369,17 +1320,9 @@ impl Warehouse {
         let logical = plan_select(&stmt, &source)?;
 
         // Compile-time optimization (metadata predicates first), costed
-        // on the catalog's statistics when cost-based planning is on.
-        let cost_model = (self.config.metadata_predicate_first && self.config.cost_based_planning)
-            .then(|| self.build_cost_model(state));
-        let optimized = if let Some(model) = &cost_model {
-            optimize_with_cost(&logical, model)?
-        } else if self.config.metadata_predicate_first {
-            optimize(&logical)?
-        } else {
-            // Ablation: keep literal coercion and folding, skip pushdown.
-            fold_constants(&coerce_timestamp_literals(&logical)?)
-        };
+        // on the catalog's statistics.
+        let cost_model = self.build_cost_model(state);
+        let optimized = optimize_with_cost(&logical, &cost_model)?;
         Ok((logical, optimized, cost_model))
     }
 
@@ -1402,13 +1345,12 @@ impl Warehouse {
     /// with the statistics-backed cost model, and ask the model for the
     /// optimized plan's row estimate.
     ///
-    /// Returns `Ok(None)` when no estimate is available: cost-based
-    /// planning disabled, or the plan contains something the model cannot
-    /// cost. Callers treat `None` as "admit on queue depth alone".
+    /// Returns `Ok(None)` when the plan contains something the model
+    /// cannot cost. Callers treat `None` as "admit on queue depth alone".
     pub fn estimate_query_rows(&self, sql: &str) -> Result<Option<u64>> {
         let (_, optimized, cost_model) = self.compile(&self.read_state(), sql)?;
         Ok(cost_model
-            .and_then(|model| model.estimate_rows(&optimized))
+            .estimate_rows(&optimized)
             .map(|r| r.round().max(0.0) as u64))
     }
 
@@ -1674,11 +1616,9 @@ impl Warehouse {
         saved_dir: impl AsRef<Path>,
         config: WarehouseConfig,
     ) -> Result<Warehouse> {
-        let mut repo = Repository::open(root.as_ref().to_path_buf())?;
-        repo.access = config.access;
         WarehouseBuilder::new()
             .config(config)
-            .source("repo", Box::new(repo))
+            .local_dir("repo", root)?
             .open_saved(saved_dir)
     }
 
@@ -1823,10 +1763,10 @@ impl Warehouse {
     }
 }
 
-/// Render the `explain` stage of a costed query: the chosen join order,
+/// Render the `explain` stage of a query: the chosen join order,
 /// estimated vs. actual result rows, and how each table was accessed —
-/// resident scans with their statistics and cost multipliers, and the
-/// injected data's index-seek-vs-sweep pruning verdict.
+/// resident scans with their statistics and cost multipliers, and how the
+/// injected data's records were pruned.
 fn render_explain(
     plan: &LogicalPlan,
     model: &CostModel,
@@ -1877,18 +1817,20 @@ fn render_explain(
     }
     if let Some(rw) = rewrite {
         let mult = model.table(DATA_TABLE).map(|t| t.multiplier).unwrap_or(1.0);
+        let pruning = if rw.index_seek {
+            format!(
+                "time-index seek ({} index entries examined)",
+                rw.index_entries_examined
+            )
+        } else if rw.full_scan_fallback {
+            "full-repository fallback".to_string()
+        } else {
+            "no sample-time window".to_string()
+        };
         out.push_str(&format!(
-            "access {DATA_TABLE}: {} ({} index entries examined); \
+            "access {DATA_TABLE}: {pruning}; \
              {} of {} candidate records fetched, {} pruned, cost x{mult:.1}\n",
-            if rw.index_seek {
-                "time-index seek"
-            } else {
-                "linear sweep"
-            },
-            rw.index_entries_examined,
-            rw.fetched_pairs,
-            rw.candidate_pairs,
-            rw.pruned_pairs
+            rw.fetched_pairs, rw.candidate_pairs, rw.pruned_pairs
         ));
     }
     out

@@ -74,10 +74,6 @@ impl LazySource for CsvSource {
         self.inner.access
     }
 
-    fn set_access(&mut self, profile: AccessProfile) {
-        self.inner.access = profile;
-    }
-
     fn fetch_range(&self, entry: &FileEntry, offset: u64, len: u64) -> Result<Vec<u8>, RepoError> {
         read_file_range(&entry.path, offset, len)
     }

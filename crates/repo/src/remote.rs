@@ -98,10 +98,6 @@ impl LazySource for RemoteSource {
         self.inner.access
     }
 
-    fn set_access(&mut self, profile: AccessProfile) {
-        self.inner.access = profile;
-    }
-
     /// No local path: the warehouse must fetch ranges, as over a WAN.
     fn local_path<'a>(&self, _entry: &'a FileEntry) -> Option<&'a Path> {
         None

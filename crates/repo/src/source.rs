@@ -142,10 +142,6 @@ pub trait LazySource: Send + Sync + std::fmt::Debug {
     /// under.
     fn access(&self) -> AccessProfile;
 
-    /// Replace the access-cost model (warehouse construction applies the
-    /// configured profile to every mount).
-    fn set_access(&mut self, profile: AccessProfile);
-
     /// The local filesystem path of an entry, when the source is a plain
     /// directory the extractor may read directly. Remote backends return
     /// `None`, forcing every read through [`Self::fetch_range`] so
@@ -201,10 +197,6 @@ impl LazySource for Repository {
 
     fn access(&self) -> AccessProfile {
         self.access
-    }
-
-    fn set_access(&mut self, profile: AccessProfile) {
-        self.access = profile;
     }
 
     fn fetch_range(&self, entry: &FileEntry, offset: u64, len: u64) -> Result<Vec<u8>, RepoError> {

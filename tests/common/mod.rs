@@ -34,7 +34,7 @@ impl Drop for TestRepo {
 /// Uses the four NL stations (query 2 groups them) plus KO.ISK (query 1
 /// averages its BHE channel), covering 22:10–22:20 on 2010-01-12 so the Q1
 /// window (22:15:00–22:15:02) falls inside the second file of each stream.
-/// Kept small enough that even full-extraction ablations run quickly in
+/// Kept small enough that even full-repository extractions run quickly in
 /// debug builds.
 pub fn figure1_repo(tag: &str, record_length: usize) -> TestRepo {
     let inv = lazyetl::mseed::inventory::default_inventory();

@@ -1,31 +1,33 @@
 //! Cost-based planning is an *optimization*, never a semantics change:
-//! for any query, the costed pipeline (statistics, join reordering,
-//! access multipliers) must return exactly what the heuristic pipeline
-//! returns — only the plan shape and the EXPLAIN report may differ.
+//! for any query, the warehouse's costed pipeline (statistics, join
+//! reordering, access multipliers) must return exactly what the query
+//! crate's as-written `optimize` returns over the same data — only the
+//! plan shape and the EXPLAIN report may differ.
 //!
 //! Also pins the EXPLAIN surface itself: the `explain` stage reports the
-//! chosen join order, estimated vs. actual rows, and whether record
-//! pruning was an index seek or a linear sweep.
+//! chosen join order, estimated vs. actual rows, and how record pruning
+//! went (an index seek, or no sample-time window to prune by).
 
 mod common;
 
 use common::{figure1_repo, TestRepo, FIGURE1_Q1, FIGURE1_Q2};
-use lazyetl::store::Value;
+use lazyetl::query::{execute, optimize, plan_sql, ExecContext, TableSource};
+use lazyetl::store::{Table, Value};
 use lazyetl::{Warehouse, WarehouseConfig};
 use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-fn cfg(cost_based: bool) -> WarehouseConfig {
+fn cfg() -> WarehouseConfig {
     WarehouseConfig {
         auto_refresh: false,
-        cost_based_planning: cost_based,
         ..Default::default()
     }
 }
 
 struct Rig {
-    costed: Mutex<Warehouse>,
-    heuristic: Mutex<Warehouse>,
+    costed: Warehouse,
+    /// Holds the reference catalog: every table resident, nothing costed.
+    eager: Warehouse,
     _repo: TestRepo,
 }
 
@@ -34,16 +36,24 @@ fn rig() -> &'static Rig {
     RIG.get_or_init(|| {
         let repo = figure1_repo("cost_equiv", 512);
         Rig {
-            costed: Mutex::new(Warehouse::open_lazy(&repo.root, cfg(true)).unwrap()),
-            heuristic: Mutex::new(Warehouse::open_lazy(&repo.root, cfg(false)).unwrap()),
+            costed: Warehouse::open_lazy(&repo.root, cfg()).unwrap(),
+            eager: Warehouse::open_eager(&repo.root, cfg()).unwrap(),
             _repo: repo,
         }
     })
 }
 
+/// `sql` planned, optimized with joins in their as-written order, and
+/// executed over `wh`'s catalog — bypassing the warehouse's pipeline.
+fn as_written(wh: &Warehouse, sql: &str) -> Arc<Table> {
+    let catalog = wh.catalog();
+    let plan = optimize(&plan_sql(sql, &TableSource::new(&catalog)).unwrap()).unwrap();
+    execute(&plan, &ExecContext::new(&catalog)).unwrap()
+}
+
 /// Cell-wise comparison with a relative epsilon for floats: a reordered
 /// join can feed float aggregation in a different order.
-fn assert_tables_close(sql: &str, a: &lazyetl::store::Table, b: &lazyetl::store::Table) {
+fn assert_tables_close(sql: &str, a: &Table, b: &Table) {
     assert_eq!(a.num_rows(), b.num_rows(), "row count for {sql}");
     assert_eq!(
         a.schema.fields.len(),
@@ -67,9 +77,8 @@ fn assert_tables_close(sql: &str, a: &lazyetl::store::Table, b: &lazyetl::store:
 
 fn check(sql: &str) {
     let r = rig();
-    let a = r.costed.lock().unwrap().query(sql).unwrap();
-    let b = r.heuristic.lock().unwrap().query(sql).unwrap();
-    assert_tables_close(sql, &a.table, &b.table);
+    let costed = r.costed.query(sql).unwrap();
+    assert_tables_close(sql, &costed.table, &as_written(&r.eager, sql));
 }
 
 fn explain_stage(stages: &[(String, String)]) -> Option<&str> {
@@ -86,7 +95,7 @@ fn explain_stage(stages: &[(String, String)]) -> Option<&str> {
 #[test]
 fn explain_reports_join_order_estimates_and_index_seek() {
     let repo = figure1_repo("explain_cost", 512);
-    let wh = Warehouse::open_lazy(&repo.root, cfg(true)).unwrap();
+    let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
     let out = wh.query(FIGURE1_Q1).unwrap();
     let explain =
         explain_stage(&out.report.stages).expect("costed queries always emit an explain stage");
@@ -125,63 +134,31 @@ fn explain_reports_join_order_estimates_and_index_seek() {
 }
 
 #[test]
-fn explain_diff_between_costed_and_heuristic_pipelines() {
-    let repo = figure1_repo("explain_diff", 512);
-    let costed = Warehouse::open_lazy(&repo.root, cfg(true)).unwrap();
-    let heuristic = Warehouse::open_lazy(&repo.root, cfg(false)).unwrap();
-    let a = costed.query(FIGURE1_Q2).unwrap();
-    let b = heuristic.query(FIGURE1_Q2).unwrap();
-
-    // The diff between the two pipelines is exactly the explain stage
-    // (plus, possibly, plan shape): results are identical.
-    assert!(explain_stage(&a.report.stages).is_some());
-    assert!(
-        explain_stage(&b.report.stages).is_none(),
-        "ablation emits no explain"
-    );
+fn explain_says_when_a_query_has_no_time_window() {
+    let repo = figure1_repo("explain_no_window", 512);
+    let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
+    let out = wh.query(FIGURE1_Q2).unwrap();
     assert_eq!(
-        a.report
+        out.report
             .stages
             .iter()
             .map(|(n, _)| n.as_str())
             .collect::<Vec<_>>(),
         vec!["logical", "optimized", "rewritten", "explain"]
     );
-    assert_eq!(
-        b.report
-            .stages
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect::<Vec<_>>(),
-        vec!["logical", "optimized", "rewritten"]
-    );
-    assert_tables_close(FIGURE1_Q2, &a.table, &b.table);
-
-    // And the heuristic warehouse costs no plans.
-    assert_eq!(heuristic.stats_snapshot().exec.plans_estimated, 0);
-}
-
-#[test]
-fn ablated_seek_reports_linear_sweep_in_explain() {
-    let repo = figure1_repo("explain_sweep", 512);
-    let wh = Warehouse::open_lazy(
-        &repo.root,
-        WarehouseConfig {
-            time_index_seek: false,
-            ..cfg(true)
-        },
-    )
-    .unwrap();
-    let out = wh.query(FIGURE1_Q1).unwrap();
+    // Q2 has no sample-time predicate: nothing was seeked or swept.
     let explain = explain_stage(&out.report.stages).unwrap();
-    assert!(explain.contains("access data: linear sweep"), "{explain}");
+    assert!(
+        explain.contains("access data: no sample-time window;"),
+        "{explain}"
+    );
     assert_eq!(wh.stats_snapshot().exec.index_seeks, 0);
 }
 
 #[test]
 fn plan_preview_shows_the_plan_the_query_runs() {
     let repo = figure1_repo("preview_truth", 512);
-    let wh = Warehouse::open_lazy(&repo.root, cfg(true)).unwrap();
+    let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
     // Three explicit joins, as written `(d ⋈ r) ⋈ f`: the cost model puts
     // the filtered `files` first, so the costed and the heuristic
     // optimizer disagree on this one — and the preview must show the
@@ -206,7 +183,7 @@ fn plan_preview_shows_the_plan_the_query_runs() {
 #[test]
 fn metadata_only_queries_are_costed_too() {
     let repo = figure1_repo("explain_meta", 512);
-    let wh = Warehouse::open_lazy(&repo.root, cfg(true)).unwrap();
+    let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
     let out = wh
         .query("SELECT station, channel FROM mseed.files ORDER BY station, channel")
         .unwrap();
@@ -225,7 +202,7 @@ fn metadata_only_queries_are_costed_too() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: costed plans ≡ as-written plans, over random queries
+// Property: costed lazy answers ≡ as-written eager answers, over random queries
 // ---------------------------------------------------------------------------
 
 fn station_strategy() -> impl Strategy<Value = &'static str> {
@@ -263,11 +240,14 @@ proptest! {
         net in prop::sample::select(vec!["NL", "KO", "XX"]),
         min_seq in 0i64..4,
     ) {
-        // Three-relation join chains are exactly what the reorder pass
-        // rewrites; written here in a deliberately suboptimal order.
+        // Three-relation join chains with unique (aliased) column names
+        // are exactly what the reorder pass rewrites; written here in a
+        // deliberately suboptimal order. The `r2` self-join on both keys
+        // matches each record once, so a reorder that loses a key shows.
         check(&format!(
             "SELECT f.station, r.seq_no \
              FROM mseed.records r JOIN mseed.files f ON r.file_id = f.file_id \
+             JOIN mseed.records r2 ON r2.file_id = r.file_id AND r2.seq_no = r.seq_no \
              WHERE f.network = '{net}' AND r.seq_no > {min_seq} \
              ORDER BY f.station, r.seq_no LIMIT 40"
         ));

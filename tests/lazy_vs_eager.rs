@@ -168,49 +168,6 @@ fn record_pruning_limits_extraction_for_narrow_windows() {
         "2-second window must prune records: {rewrite:?}"
     );
     assert!(rewrite.fetched_pairs < rewrite.candidate_pairs);
-
-    // Ablation: without pruning the same query extracts every candidate.
-    let no_prune = Warehouse::open_lazy(
-        &repo.root,
-        WarehouseConfig {
-            record_level_pruning: false,
-            auto_refresh: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let out2 = no_prune.query(FIGURE1_Q1).unwrap();
-    let rewrite2 = out2.report.rewrite.unwrap();
-    assert_eq!(rewrite2.pruned_pairs, 0);
-    assert!(rewrite2.fetched_pairs > rewrite.fetched_pairs);
-    // Same answer either way.
-    assert_eq!(
-        out.table.row(0).unwrap()[0].as_f64().unwrap(),
-        out2.table.row(0).unwrap()[0].as_f64().unwrap()
-    );
-}
-
-#[test]
-fn pushdown_ablation_degenerates_to_full_extraction() {
-    let repo = figure1_repo("ablate", 4096);
-    let ablated = Warehouse::open_lazy(
-        &repo.root,
-        WarehouseConfig {
-            metadata_predicate_first: false,
-            auto_refresh: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let total_records = ablated.load_report().records;
-    let out = ablated
-        .query("SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE'")
-        .unwrap();
-    let rewrite = out.report.rewrite.unwrap();
-    assert_eq!(
-        rewrite.fetched_pairs, total_records,
-        "without metadata-first, every record is extracted"
-    );
 }
 
 #[test]
@@ -220,6 +177,12 @@ fn direct_data_query_falls_back_to_full_scan() {
     let out = lazy.query("SELECT COUNT(*) FROM mseed.data").unwrap();
     let rewrite = out.report.rewrite.unwrap();
     assert!(rewrite.full_scan_fallback, "no metadata join available");
+    let (stage, explain) = out.report.stages.last().unwrap();
+    assert_eq!(stage, "explain");
+    assert!(
+        explain.contains("access data: full-repository fallback;"),
+        "{explain}"
+    );
     let n = out.table.row(0).unwrap()[0].as_i64().unwrap();
     assert_eq!(n as u64, repo.generated.total_samples);
 }

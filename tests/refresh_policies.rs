@@ -11,7 +11,7 @@ use lazyetl::repo::{updates, Repository};
 const COUNT_RECORDS: &str = "SELECT COUNT(*) FROM mseed.records";
 
 #[test]
-fn bound_is_irrelevant_when_auto_refresh_is_off() {
+fn manual_mode_sees_changes_only_after_refresh() {
     let repo = figure1_repo("stale_off", 512);
     let wh = Warehouse::open_lazy(
         &repo.root,
@@ -38,7 +38,7 @@ fn bound_is_irrelevant_when_auto_refresh_is_off() {
 }
 
 #[test]
-fn record_payloads_stay_fresh_inside_the_bound() {
+fn record_payloads_stay_fresh_while_metadata_lags() {
     // Even while metadata lags (auto-refresh off: the touch events below
     // would otherwise trigger a refresh first), the record cache checks
     // file mtimes at fetch time, so payload queries never serve bytes from

@@ -6,16 +6,25 @@
 mod common;
 
 use common::{figure1_repo, FIGURE1_Q1};
-use lazyetl::repo::AccessProfile;
-use lazyetl::{Warehouse, WarehouseConfig};
+use lazyetl::repo::{AccessProfile, Repository};
+use lazyetl::{Mode, Warehouse, WarehouseBuilder, WarehouseConfig};
+use std::path::Path;
 use std::time::Duration;
 
-fn wan_config() -> WarehouseConfig {
-    WarehouseConfig {
-        auto_refresh: false,
-        access: AccessProfile::wan(),
-        ..Default::default()
-    }
+/// `root` as the one mount of a `mode` warehouse, its reads costed under
+/// `access`.
+fn open_over(root: &Path, mode: Mode, access: AccessProfile) -> Warehouse {
+    let mut repo = Repository::open(root).unwrap();
+    repo.access = access;
+    WarehouseBuilder::new()
+        .config(WarehouseConfig {
+            auto_refresh: false,
+            ..Default::default()
+        })
+        .mode(mode)
+        .source("repo", Box::new(repo))
+        .open()
+        .unwrap()
 }
 
 #[test]
@@ -27,13 +36,8 @@ fn lazy_load_models_far_less_transfer_time() {
         per_request: Duration::ZERO,
         bytes_per_sec: 1 << 20, // 1 MiB/s
     };
-    let cfg = WarehouseConfig {
-        auto_refresh: false,
-        access: slow_link,
-        ..Default::default()
-    };
-    let lazy = Warehouse::open_lazy(&repo.root, cfg.clone()).unwrap();
-    let eager = Warehouse::open_eager(&repo.root, cfg).unwrap();
+    let lazy = open_over(&repo.root, Mode::Lazy, slow_link);
+    let eager = open_over(&repo.root, Mode::Eager, slow_link);
     let l = lazy.load_report().simulated_io;
     let e = eager.load_report().simulated_io;
     assert!(l > Duration::ZERO);
@@ -45,8 +49,9 @@ fn lazy_load_models_far_less_transfer_time() {
     // RTT-dominated regime (20 ms per request, small files): both pay one
     // round trip per file for metadata, eager pays a second for payloads —
     // the gap narrows to about 2x, which the model reports honestly.
-    let lazy = Warehouse::open_lazy(&repo.root, wan_config()).unwrap();
-    let eager = Warehouse::open_eager(&repo.root, wan_config()).unwrap();
+    let wan = AccessProfile::wan();
+    let lazy = open_over(&repo.root, Mode::Lazy, wan);
+    let eager = open_over(&repo.root, Mode::Eager, wan);
     let l = lazy.load_report().simulated_io;
     let e = eager.load_report().simulated_io;
     assert!(e > l, "RTT-bound: eager {e:?} still exceeds lazy {l:?}");
@@ -55,7 +60,7 @@ fn lazy_load_models_far_less_transfer_time() {
 #[test]
 fn query_accounts_transfer_only_for_extraction() {
     let repo = figure1_repo("wan_query", 512);
-    let wh = Warehouse::open_lazy(&repo.root, wan_config()).unwrap();
+    let wh = open_over(&repo.root, Mode::Lazy, AccessProfile::wan());
     // Metadata-only query: no remote transfer at query time.
     let out = wh.query("SELECT COUNT(*) FROM mseed.records").unwrap();
     assert_eq!(out.report.simulated_io, Duration::ZERO);
@@ -77,8 +82,8 @@ fn query_accounts_transfer_only_for_extraction() {
 #[test]
 fn transfer_cost_scales_with_selectivity() {
     let repo = figure1_repo("wan_scale", 512);
-    let narrow = Warehouse::open_lazy(&repo.root, wan_config()).unwrap();
-    let broad = Warehouse::open_lazy(&repo.root, wan_config()).unwrap();
+    let narrow = open_over(&repo.root, Mode::Lazy, AccessProfile::wan());
+    let broad = open_over(&repo.root, Mode::Lazy, AccessProfile::wan());
     let narrow_out = narrow
         .query("SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE'")
         .unwrap();

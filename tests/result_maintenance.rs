@@ -14,7 +14,7 @@ use lazyetl::repo::{updates, Repository};
 
 fn maint_config() -> WarehouseConfig {
     WarehouseConfig {
-        recycle_query_results: true, // maintain_recycled_results defaults on
+        recycle_query_results: true,
         ..Default::default()
     }
 }
@@ -191,35 +191,6 @@ fn modification_delta_falls_back_to_recompute() {
     let after = wh.query(FIGURE1_Q2).unwrap();
     assert!(!after.report.result_recycled, "stale entry was dropped");
     drop(before);
-}
-
-#[test]
-fn maintenance_disabled_restores_drop_on_refresh() {
-    let repo = figure1_repo("maint_off", 512);
-    let cfg = WarehouseConfig {
-        recycle_query_results: true,
-        maintain_recycled_results: false,
-        ..Default::default()
-    };
-    let wh = Warehouse::open_lazy(&repo.root, cfg).unwrap();
-
-    wh.query(FIGURE1_Q2).unwrap();
-    insert_file(&repo.root, "NL", "WIT", "BHZ", 10);
-    wh.refresh().unwrap();
-
-    let stats = wh.stats_snapshot();
-    assert_eq!(stats.recycler.results_patched, 0, "maintenance is off");
-    let again = wh.query(FIGURE1_Q2).unwrap();
-    assert!(
-        !again.report.result_recycled,
-        "the E18 recompute baseline drops and recomputes"
-    );
-    // Correctness is unaffected either way.
-    let fresh = Warehouse::open_lazy(&repo.root, WarehouseConfig::default()).unwrap();
-    assert_eq!(
-        again.table.to_ascii(100),
-        fresh.query(FIGURE1_Q2).unwrap().table.to_ascii(100)
-    );
 }
 
 #[test]
