@@ -81,10 +81,9 @@ pub use extract::{
 };
 pub use log::{EtlLog, EtlOp, LogEntry};
 pub use persistence::{
-    load_saved_stats, load_saved_tables, load_saved_time_index, read_manifest, recover_saved_dir,
-    replay_journal, save_warehouse, save_warehouse_crashing_at, saved_mode, stray_files,
-    RecoveryReport, SaveReport, SavedFile, SavedManifest, CRASH_MARKER, JOURNAL_NAME,
-    MANIFEST_NAME,
+    load_saved_stats, load_saved_tables, read_manifest, recover_saved_dir, replay_journal,
+    save_warehouse, save_warehouse_crashing_at, saved_mode, stray_files, RecoveryReport,
+    SaveReport, SavedFile, SavedManifest, CRASH_MARKER, JOURNAL_NAME, MANIFEST_NAME,
 };
 pub use qcache::{
     DeltaOutcome, QueryResultCache, RefreshDelta, ResultCacheSnapshot, ResultCacheStats,

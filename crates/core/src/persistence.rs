@@ -16,15 +16,17 @@
 //! records.e<N>.lztb            R table, footered
 //! data.e<N>.lztb               D table, footered (eager saves only)
 //! stats.e<N>.lzst              per-table column statistics, footered
-//! timeindex.e<N>.lztb          ordered record time-range index, footered
 //! segments.e<N>/shard_KKK.lzsg one record-cache shard each (lazy saves)
 //! ```
 //!
-//! The `stats` and `timeindex` sections feed cost-based planning and the
-//! record-level pruning seek on reopen; manifests written before they
-//! existed simply lack the lines, and such snapshots open **statless** —
-//! zone maps recompute on demand and the optimizer falls back to its
-//! heuristics, exactly as before the upgrade.
+//! The `stats` section seeds the catalog's zone maps on reopen, sparing
+//! the first query a pass over every table (over all of `D`, for an
+//! eager save). A manifest without it opens the same way, and the zone
+//! maps are computed on demand. Derived state that is cheaper to rebuild
+//! than to load is not saved: reopen sorts the record time index afresh
+//! from `R`. Earlier saves also persisted that index; the reader ignores
+//! its `index` manifest line and recovery sweeps its file once a later
+//! save supersedes its epoch.
 //!
 //! # Crash consistency
 //!
@@ -48,7 +50,6 @@ use crate::cache::PendingSegment;
 use crate::error::{EtlError, Result};
 use crate::log::{EtlLog, EtlOp};
 use crate::parallel::parallel_map;
-use crate::rewrite::LocatorIndex;
 use crate::schema::{DATA_TABLE, FILES_TABLE, RECORDS_TABLE};
 use crate::segment::{encode_segment, segment_info, SegmentEntry};
 use crate::warehouse::{mode_tables, Mode, Warehouse};
@@ -68,8 +69,9 @@ pub const JOURNAL_NAME: &str = "JOURNAL";
 const MANIFEST_V2: &str = "lazyetl-warehouse-v2";
 /// Base name of the persisted statistics file (`stats.e<N>.lzst`).
 const STATS_BASE: &str = "stats";
-/// Base name of the persisted time index (`timeindex.e<N>.lztb`).
-const TIMEINDEX_BASE: &str = "timeindex";
+/// Base name of the time-index file earlier saves wrote, kept so
+/// recovery still sweeps it.
+const LEGACY_TIMEINDEX_BASE: &str = "timeindex";
 /// Error-message marker of an injected crash (test hook).
 pub const CRASH_MARKER: &str = "crash-injected";
 
@@ -90,8 +92,6 @@ pub struct SaveReport {
     pub segments: Vec<String>,
     /// Column-statistics file written alongside the tables.
     pub stats_file: Option<String>,
-    /// Ordered time-range index file written alongside the tables.
-    pub index_file: Option<String>,
     /// Snapshot epoch this save committed.
     pub epoch: u64,
     /// Number of durable steps the save performed — the domain of
@@ -129,11 +129,9 @@ pub struct SavedManifest {
     pub tables: Vec<SavedFile>,
     /// Cache segment files.
     pub segments: Vec<SavedFile>,
-    /// Persisted column statistics (absent in pre-upgrade snapshots —
-    /// those open statless).
+    /// Persisted column statistics (absent in snapshots that predate
+    /// the section; their zone maps are computed on demand).
     pub stats: Option<SavedFile>,
-    /// Persisted ordered time-range index (absent pre-upgrade).
-    pub time_index: Option<SavedFile>,
 }
 
 fn mode_str(mode: Mode) -> &'static str {
@@ -170,28 +168,24 @@ pub fn read_manifest(dir: &Path) -> Result<SavedManifest> {
     let mut tables = Vec::new();
     let mut segments = Vec::new();
     let mut stats = None;
-    let mut time_index = None;
     for line in lines {
         let mut parts = line.split_whitespace();
         match parts.next() {
-            Some(kind @ ("stats" | "index")) => {
-                // stats|index <bytes> <checksum-hex> <name>
+            Some("stats") => {
+                // stats <bytes> <checksum-hex> <name>
                 let bytes = parse_num(parts.next(), "stats bytes")?;
                 let checksum = parse_hex(parts.next(), "stats checksum")?;
                 let name = parts.collect::<Vec<_>>().join(" ");
-                let file = SavedFile {
+                stats = Some(SavedFile {
                     name,
                     bytes,
                     checksum,
                     entries: 0,
                     shard: 0,
-                };
-                if kind == "stats" {
-                    stats = Some(file);
-                } else {
-                    time_index = Some(file);
-                }
+                });
             }
+            // The time index earlier saves wrote; reopen rebuilds it.
+            Some("index") => {}
             Some("table") => {
                 // table <bytes> <checksum-hex> <name>
                 let bytes = parse_num(parts.next(), "table bytes")?;
@@ -235,7 +229,6 @@ pub fn read_manifest(dir: &Path) -> Result<SavedManifest> {
         tables,
         segments,
         stats,
-        time_index,
     })
 }
 
@@ -354,7 +347,7 @@ fn epoch_of_table_file(name: &str) -> Option<u64> {
         && base != RECORDS_TABLE
         && base != DATA_TABLE
         && base != STATS_BASE
-        && base != TIMEINDEX_BASE
+        && base != LEGACY_TIMEINDEX_BASE
     {
         return None;
     }
@@ -632,10 +625,9 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
         tables.push(fname);
     }
 
-    // Column statistics + the ordered time index ride along with every
-    // save, computed from the very snapshots written above so they can
-    // never describe different rows. Reopen seeds zone maps and the
-    // pruning seek from them instead of recomputing.
+    // Column statistics ride along with every save, computed from the
+    // very snapshots written above so they can never describe different
+    // rows. Reopen seeds zone maps from them instead of recomputing.
     let stats_payload: Vec<(String, Vec<ColumnStats>)> = snapshots
         .iter()
         .map(|(name, table)| (name.clone(), table_stats(table)))
@@ -659,35 +651,6 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
         name: stats_name,
         bytes: stats_buf.len() as u64,
         checksum: stats_checksum,
-        entries: 0,
-        shard: 0,
-    };
-
-    let records_snapshot = snapshots
-        .iter()
-        .find(|(n, _)| n == RECORDS_TABLE)
-        .map(|(_, t)| t)
-        .ok_or_else(|| internal("records snapshot missing"))?;
-    let index_table = LocatorIndex::build(records_snapshot)?.to_time_index_table()?;
-    let index_buf = table_to_footered_bytes(&index_table)?;
-    let index_name = format!("{TIMEINDEX_BASE}.e{epoch}.lztb");
-    let index_checksum =
-        embedded_footer_checksum(&index_buf).expect("footered tables always carry a footer");
-    ctx.write_atomic(&dir.join(&index_name), &index_buf)?;
-    ctx.step()?;
-    journal.append(
-        log,
-        EtlOp::SaveTable {
-            name: index_name.clone(),
-            bytes: index_buf.len() as u64,
-            checksum: index_checksum,
-        },
-    )?;
-    bytes_total += index_buf.len() as u64;
-    let manifest_index = SavedFile {
-        name: index_name,
-        bytes: index_buf.len() as u64,
-        checksum: index_checksum,
         entries: 0,
         shard: 0,
     };
@@ -753,10 +716,6 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
         "stats {} {:x} {}\n",
         manifest_stats.bytes, manifest_stats.checksum, manifest_stats.name
     ));
-    manifest.push_str(&format!(
-        "index {} {:x} {}\n",
-        manifest_index.bytes, manifest_index.checksum, manifest_index.name
-    ));
     for s in &manifest_segments {
         manifest.push_str(&format!(
             "segment {} {} {} {:x} {}\n",
@@ -770,13 +729,7 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
     // Cleanup: the previous epoch's files are now unreachable.
     let mut removed = 0u64;
     if let Some(prev) = &prev {
-        for f in prev
-            .tables
-            .iter()
-            .chain(&prev.segments)
-            .chain(&prev.stats)
-            .chain(&prev.time_index)
-        {
+        for f in prev.tables.iter().chain(&prev.segments).chain(&prev.stats) {
             ctx.remove(&dir.join(&f.name), &mut removed)?;
         }
         ctx.remove(&dir.join(format!("segments.e{}", prev.epoch)), &mut removed)?;
@@ -790,7 +743,6 @@ fn save_inner(wh: &Warehouse, dir: &Path, stop_at: Option<usize>) -> Result<Save
         tables,
         segments,
         stats_file: Some(manifest_stats.name.clone()),
-        index_file: Some(manifest_index.name.clone()),
         epoch,
         crash_points: ctx.steps,
     })
@@ -816,23 +768,6 @@ pub fn load_saved_stats(dir: &Path, manifest: &SavedManifest) -> Result<Option<S
         )));
     }
     Ok(Some(stats_from_bytes(payload)?))
-}
-
-/// Load the persisted ordered time index of a saved warehouse, verified
-/// against the manifest checksum. Returns `Ok(None)` for snapshots that
-/// predate the index section.
-pub fn load_saved_time_index(dir: &Path, manifest: &SavedManifest) -> Result<Option<Table>> {
-    let Some(f) = &manifest.time_index else {
-        return Ok(None);
-    };
-    let (table, sum) = load_table_verified(&dir.join(&f.name))?;
-    if sum != f.checksum {
-        return Err(internal(format!(
-            "time index {} checksum {sum:#x} != manifest {:#x}",
-            f.name, f.checksum
-        )));
-    }
-    Ok(Some(table))
 }
 
 /// The segments a reopening warehouse should attach for rehydration:
@@ -918,19 +853,14 @@ mod tests {
         assert_eq!(files.num_rows(), wh.load_report().files);
         assert_eq!(records.num_rows(), wh.load_report().records);
         assert!(data.is_none());
-        // Stats + time index ride along with every v2 save.
+        // Stats ride along with every v2 save.
         assert_eq!(report.stats_file.as_deref(), Some("stats.e1.lzst"));
-        assert_eq!(report.index_file.as_deref(), Some("timeindex.e1.lztb"));
         let manifest = read_manifest(&saved).unwrap();
         let stats = load_saved_stats(&saved, &manifest)
             .unwrap()
             .expect("stats persisted");
         assert!(stats.iter().any(|(n, _)| n == FILES_TABLE));
         assert!(stats.iter().any(|(n, _)| n == RECORDS_TABLE));
-        let idx = load_saved_time_index(&saved, &manifest)
-            .unwrap()
-            .expect("time index persisted");
-        assert_eq!(idx.num_rows(), wh.load_report().records);
         assert!(stray_files(&saved).is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
@@ -941,24 +871,21 @@ mod tests {
         let wh = Warehouse::open_lazy(&repo, cfg()).unwrap();
         let saved = root.join("saved");
         save_warehouse(&wh, &saved).unwrap();
-        // Rewrite the manifest without its stats/index lines — exactly
-        // what a snapshot written before the sections existed looks like
-        // — and delete the now-unreferenced files.
+        // Rewrite the manifest without its stats line — exactly what a
+        // snapshot written before the section existed looks like — and
+        // delete the now-unreferenced file.
         let text = std::fs::read_to_string(saved.join(MANIFEST_NAME)).unwrap();
         let stripped: String = text
             .lines()
-            .filter(|l| !l.starts_with("stats ") && !l.starts_with("index "))
+            .filter(|l| !l.starts_with("stats "))
             .map(|l| format!("{l}\n"))
             .collect();
         lazyetl_store::persist::write_file_atomic(&saved.join(MANIFEST_NAME), stripped.as_bytes())
             .unwrap();
         std::fs::remove_file(saved.join("stats.e1.lzst")).unwrap();
-        std::fs::remove_file(saved.join("timeindex.e1.lztb")).unwrap();
         let manifest = read_manifest(&saved).unwrap();
         assert!(manifest.stats.is_none());
-        assert!(manifest.time_index.is_none());
         assert!(load_saved_stats(&saved, &manifest).unwrap().is_none());
-        assert!(load_saved_time_index(&saved, &manifest).unwrap().is_none());
         // The tables themselves still load: the snapshot is usable.
         assert!(load_saved_tables(&saved).is_ok());
         std::fs::remove_dir_all(&root).ok();
@@ -1012,8 +939,6 @@ mod tests {
         assert!(!saved.join("files.e1.lztb").exists(), "old epoch swept");
         assert!(saved.join("stats.e2.lzst").exists());
         assert!(!saved.join("stats.e1.lzst").exists(), "old stats swept");
-        assert!(saved.join("timeindex.e2.lztb").exists());
-        assert!(!saved.join("timeindex.e1.lztb").exists());
         assert!(stray_files(&saved).is_empty());
         let manifest = read_manifest(&saved).unwrap();
         assert_eq!(manifest.epoch, 2);

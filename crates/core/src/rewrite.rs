@@ -24,7 +24,7 @@ use lazyetl_query::expr::eval_expr;
 use lazyetl_query::plan::LogicalPlan;
 use lazyetl_query::Expr;
 use lazyetl_store::kernels::as_i64_slice;
-use lazyetl_store::{Column, DataType, Field, Schema, Table, Value};
+use lazyetl_store::{Column, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -35,9 +35,9 @@ use std::sync::Arc;
 /// over record time coverage (`by_time`, sorted by start time), so a
 /// sample-time interval resolves to the qualifying records with one
 /// binary-search seek instead of a sweep over every candidate
-/// ([`LocatorIndex::seek_time_range`]). The sorted order is persistable
-/// ([`LocatorIndex::to_time_index_table`]) and a snapshot's persisted
-/// order is adopted on reopen ([`LocatorIndex::build_seeded`]).
+/// ([`LocatorIndex::seek_time_range`]). The index is derived state:
+/// committing new metadata and reopening a snapshot both rebuild it from
+/// `R` with [`LocatorIndex::build`].
 #[derive(Debug, Default)]
 pub struct LocatorIndex {
     by_key: HashMap<(i64, i64), RecordInfo>,
@@ -82,24 +82,6 @@ pub struct RecordInfo {
 impl LocatorIndex {
     /// Build from an `R`-schema table.
     pub fn build(records: &Table) -> Result<LocatorIndex> {
-        Self::build_seeded(records, None)
-    }
-
-    /// Build from an `R`-schema table, adopting a persisted time-index
-    /// ordering when one is supplied and still describes exactly these
-    /// records (saving the O(n log n) sort); any mismatch falls back to
-    /// sorting fresh, so a stale snapshot can never corrupt the index.
-    pub fn build_seeded(records: &Table, persisted: Option<&Table>) -> Result<LocatorIndex> {
-        let mut idx = Self::build_keys(records)?;
-        let adopted = persisted.is_some_and(|t| idx.adopt_persisted_order(t));
-        if !adopted {
-            idx.by_time.sort_unstable_by_key(TimeEntry::sort_key);
-        }
-        idx.finish_time_index();
-        Ok(idx)
-    }
-
-    fn build_keys(records: &Table) -> Result<LocatorIndex> {
         let need = |name: &str| {
             records
                 .schema
@@ -146,68 +128,21 @@ impl LocatorIndex {
                 seq_no,
             });
         }
-        Ok(idx)
-    }
-
-    /// Try to adopt a persisted `(file_id, seq_no, start_time, end_time)`
-    /// table as the sorted time index. Succeeds only if it lists exactly
-    /// the indexed records, in sorted order, with matching time ranges.
-    fn adopt_persisted_order(&mut self, t: &Table) -> bool {
-        if t.num_rows() != self.by_key.len() {
-            return false;
-        }
-        let col = |name: &str| t.schema.index_of(name);
-        let (Some(cf), Some(cs), Some(ca), Some(cb)) = (
-            col("file_id"),
-            col("seq_no"),
-            col("start_time"),
-            col("end_time"),
-        ) else {
-            return false;
-        };
-        let mut out = Vec::with_capacity(t.num_rows());
-        let mut prev = (i64::MIN, i64::MIN, i64::MIN);
-        for row in 0..t.num_rows() {
-            let get = |c: usize| t.columns[c].get(row).ok().and_then(|v| v.as_i64());
-            let (Some(file_id), Some(seq_no), Some(start_us), Some(end_us)) =
-                (get(cf), get(cs), get(ca), get(cb))
-            else {
-                return false;
-            };
-            let e = TimeEntry {
-                start_us,
-                end_us,
-                file_id,
-                seq_no,
-            };
-            if e.sort_key() < prev {
-                return false;
-            }
-            prev = e.sort_key();
-            match self.by_key.get(&(file_id, seq_no)) {
-                Some(info) if info.start_us == start_us && info.end_us == end_us => out.push(e),
-                _ => return false,
-            }
-        }
-        self.by_time = out;
-        true
-    }
-
-    /// Derive the seek acceleration structures from the sorted `by_time`.
-    fn finish_time_index(&mut self) {
-        self.degenerate_pos = self
+        idx.by_time.sort_unstable_by_key(TimeEntry::sort_key);
+        idx.degenerate_pos = idx
             .by_time
             .iter()
             .enumerate()
             .filter(|(_, e)| e.start_us == e.end_us)
             .map(|(p, _)| p)
             .collect();
-        self.max_span_us = self
+        idx.max_span_us = idx
             .by_time
             .iter()
             .map(|e| (e.end_us - e.start_us).max(0))
             .max()
             .unwrap_or(0);
+        Ok(idx)
     }
 
     /// Binary-search seek over the ordered time index: the set of
@@ -258,29 +193,6 @@ impl LocatorIndex {
             }
         }
         (out, examined)
-    }
-
-    /// The ordered time index as a persistable table (rows in `by_time`
-    /// order), the inverse of [`LocatorIndex::build_seeded`]'s seed.
-    pub fn to_time_index_table(&self) -> Result<Table> {
-        let schema = Schema::new(vec![
-            Field::new("file_id", DataType::Int64),
-            Field::new("seq_no", DataType::Int64),
-            Field::new("start_time", DataType::Timestamp),
-            Field::new("end_time", DataType::Timestamp),
-        ])
-        .map_err(EtlError::Store)?;
-        let mut t = Table::empty(schema);
-        for e in &self.by_time {
-            t.append_row(vec![
-                Value::Int64(e.file_id),
-                Value::Int64(e.seq_no),
-                Value::Timestamp(e.start_us),
-                Value::Timestamp(e.end_us),
-            ])
-            .map_err(EtlError::Store)?;
-        }
-        Ok(t)
     }
 
     /// Info for one (file, record) pair.
@@ -984,71 +896,6 @@ mod tests {
             r_sweep.index_entries_examined, 2,
             "sweep examines all candidates"
         );
-    }
-
-    #[test]
-    fn persisted_time_index_roundtrips_and_rejects_drift() {
-        let idx = time_grid_index();
-        let persisted = idx.to_time_index_table().unwrap();
-        // Rows come out sorted by (start, file, seq).
-        let c_start = persisted.schema.index_of("start_time").unwrap();
-        let starts: Vec<i64> = (0..persisted.num_rows())
-            .map(|r| persisted.columns[c_start].get(r).unwrap().as_i64().unwrap())
-            .collect();
-        let mut sorted = starts.clone();
-        sorted.sort_unstable();
-        assert_eq!(starts, sorted);
-        // Rebuilding seeded with the persisted order adopts it and seeks
-        // identically.
-        let mut r = Table::empty(crate::schema::records_schema());
-        for (f, s, st, en) in [
-            (0i64, 1i64, 0i64, 100i64),
-            (0, 2, 100, 200),
-            (0, 3, 0, 500),
-            (1, 1, 50, 50),
-            (1, 2, 400, 400),
-            (1, 3, 300, 250),
-            (2, 1, 250, 300),
-        ] {
-            r.append_row(vec![
-                Value::Int64(f),
-                Value::Int64(s),
-                Value::Timestamp(st),
-                Value::Timestamp(en),
-                Value::Int64(10),
-                Value::Float64(40.0),
-                Value::Int64(0),
-                Value::Int64(512),
-                Value::Utf8("D".into()),
-                Value::Int64(100),
-                Value::Utf8("STEIM2".into()),
-            ])
-            .unwrap();
-        }
-        let seeded = LocatorIndex::build_seeded(&r, Some(&persisted)).unwrap();
-        assert_eq!(
-            seeded.seek_time_range(Some(90), Some(260)),
-            idx.seek_time_range(Some(90), Some(260))
-        );
-        // A drifted snapshot (extra record in R) is rejected, not adopted:
-        // the rebuilt index still covers the new record.
-        r.append_row(vec![
-            Value::Int64(9),
-            Value::Int64(1),
-            Value::Timestamp(95),
-            Value::Timestamp(105),
-            Value::Int64(10),
-            Value::Float64(40.0),
-            Value::Int64(0),
-            Value::Int64(512),
-            Value::Utf8("D".into()),
-            Value::Int64(100),
-            Value::Utf8("STEIM2".into()),
-        ])
-        .unwrap();
-        let drifted = LocatorIndex::build_seeded(&r, Some(&persisted)).unwrap();
-        let (qual, _) = drifted.seek_time_range(Some(90), Some(110));
-        assert!(qual.contains(&(9, 1)), "stale persisted order not adopted");
     }
 
     #[test]

@@ -1696,36 +1696,33 @@ impl Warehouse {
         let staged = state.stage(mode, &FormatRegistry::default(), delta)?;
         let folded = state.commit(mode, staged, &cache, &log)?;
 
-        // Seed the planner from the snapshot's stats/index sections — but
+        // The record time index is derived state: rebuild it from `R`
+        // with the same call a fold makes (a drifted reopen's fold already
+        // did). Zone maps are seeded from the snapshot's stats section
         // only when the fold changed **nothing**: a reloaded or vanished
         // file means the persisted statistics describe rows that no longer
-        // exist, so a drifted reopen deliberately opens statless (zone
-        // maps recompute on demand, the time index re-sorts) rather than
-        // plan on stale numbers. Damaged or pre-upgrade sections degrade
-        // the same way; neither ever fails the open.
+        // exist, so a drifted reopen leaves the catalog to compute zone
+        // maps on demand rather than plan on stale numbers. A missing or
+        // damaged stats section degrades the same way and never fails the
+        // open; the bootstrap line says which happened.
         let planner_seed = if folded.changed {
-            "skipped (repository drifted)"
+            "skipped (repository drifted)".to_string()
         } else {
-            let persisted_index =
-                crate::persistence::load_saved_time_index(saved_dir, &manifest).unwrap_or(None);
-            state.index = LocatorIndex::build_seeded(
+            state.index = LocatorIndex::build(
                 state
                     .catalog
                     .table(RECORDS_TABLE)
                     .expect("records table present"),
-                persisted_index.as_ref(),
             )?;
-            let mut stats_seeded = false;
-            if let Ok(Some(stats)) = crate::persistence::load_saved_stats(saved_dir, &manifest) {
-                for (name, cols) in stats {
-                    stats_seeded |= state.catalog.seed_zone_map(&name, cols);
+            match crate::persistence::load_saved_stats(saved_dir, &manifest) {
+                Ok(Some(stats)) => {
+                    for (name, cols) in stats {
+                        state.catalog.seed_zone_map(&name, cols);
+                    }
+                    "persisted stats".to_string()
                 }
-            }
-            match (stats_seeded, persisted_index.is_some()) {
-                (true, true) => "stats + time index",
-                (true, false) => "stats only",
-                (false, true) => "time index only",
-                (false, false) => "none persisted (statless)",
+                Ok(None) => "none persisted".to_string(),
+                Err(e) => format!("stats rejected ({e})"),
             }
         };
 
@@ -1801,7 +1798,7 @@ fn render_explain(
             est.abs_diff(actual as u64)
         )),
         None => out.push_str(&format!(
-            "estimated rows: n/a (statless fallback) | actual rows: {actual}\n"
+            "estimated rows: n/a (a relation has no estimate) | actual rows: {actual}\n"
         )),
     }
     for n in &names {

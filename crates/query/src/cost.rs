@@ -18,9 +18,11 @@
 //!   stats know by how much), so the greedy join order defers expensive
 //!   sources until the accumulated selectivity is largest.
 //!
-//! Every estimator returns `Option<f64>`: `None` means "no statistics" —
-//! pre-upgrade snapshots open statless and the optimizer then keeps the
-//! as-written plan (the old heuristics).
+//! Every estimator returns `Option<f64>`: `None` means the model has no
+//! entry for a relation the plan reads. The warehouse's catalog computes
+//! zone maps on demand, so that happens only for a relation outside the
+//! model (an external scan nobody synthesized an entry for); the
+//! optimizer then keeps that chain's as-written order.
 
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::plan::LogicalPlan;
@@ -143,16 +145,16 @@ impl CostModel {
             .find_map(|t| t.stats.iter().find(|s| s.name == leaf))
     }
 
-    /// Estimated output rows of a plan node. `None` when any base table
-    /// lacks statistics (statless snapshot): the caller must fall back to
-    /// heuristics rather than reorder on garbage.
+    /// Estimated output rows of a plan node. `None` when the model has no
+    /// entry for some relation under the node: the caller keeps the
+    /// as-written order rather than reorder on a guess.
     pub fn estimate_rows(&self, plan: &LogicalPlan) -> Option<f64> {
         match plan {
             LogicalPlan::TableScan { table, .. } => self.table_rows(table),
             // External data is not loaded yet; it is only estimable when
             // the caller registered a synthesized entry under its name
             // (the warehouse derives one from the R table's per-record
-            // sample counts). Otherwise: statless fallback.
+            // sample counts). Otherwise: no estimate.
             LogicalPlan::ExternalScan { name, .. } => self.table_rows(name),
             LogicalPlan::InlineData { table, .. } => Some(table.num_rows() as f64),
             LogicalPlan::OneRow => Some(1.0),

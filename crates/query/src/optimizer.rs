@@ -34,9 +34,9 @@ pub fn optimize(plan: &LogicalPlan) -> Result<LogicalPlan> {
 
 /// Run all optimizer passes including cost-based join reordering.
 ///
-/// Reordering only fires where the model can estimate every join input
-/// (statless pre-upgrade snapshots produce no estimates, so their plans
-/// keep the as-written order — the old heuristics).
+/// Reordering only fires where the model can estimate every join input;
+/// a chain over a relation the model has no entry for keeps its
+/// as-written order.
 pub fn optimize_with_cost(plan: &LogicalPlan, model: &CostModel) -> Result<LogicalPlan> {
     let plan = coerce_timestamp_literals(plan)?;
     let plan = fold_constants(&plan);
@@ -366,7 +366,8 @@ struct JoinEdge {
 /// * output column names are not globally unique (reordering would change
 ///   the join's duplicate-renaming);
 /// * an ON-condition side spans more than one relation;
-/// * the model cannot estimate every relation (statless snapshots).
+/// * the model has no entry for some relation (see
+///   [`CostModel::estimate_rows`]).
 pub fn reorder_joins(plan: &LogicalPlan, model: &CostModel) -> Result<LogicalPlan> {
     match plan {
         LogicalPlan::Join { .. } => reorder_chain(plan, model),

@@ -156,17 +156,19 @@ pub struct ColumnStats {
     pub min: Option<Value>,
     /// Maximum non-null, non-NaN value.
     pub max: Option<Value>,
-    /// Estimated distinct count of non-null values (None when unknown,
-    /// e.g. statistics loaded from a pre-upgrade snapshot).
+    /// Estimated distinct count of non-null values (None when unknown:
+    /// an all-null column, or a hand-built entry such as the warehouse's
+    /// synthesized row count for the external data table).
     pub distinct: Option<u64>,
     /// Equi-width histogram over non-null, non-NaN numeric values (None
-    /// for non-numeric columns, empty columns, or pre-upgrade stats).
+    /// for non-numeric columns, empty columns, or hand-built entries).
     pub histogram: Option<Histogram>,
 }
 
 impl ColumnStats {
-    /// A named, all-empty statistics entry (useful for tests and
-    /// pre-upgrade snapshots where only part of the data is known).
+    /// A named, all-empty statistics entry, for tests and for hand-built
+    /// entries where only part of the data is known (the warehouse sets
+    /// just `count` for the external data table).
     pub fn empty(name: &str) -> ColumnStats {
         ColumnStats {
             name: name.to_string(),

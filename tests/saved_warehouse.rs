@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{figure1_repo, FIGURE1_Q2};
+use common::{figure1_repo, FIGURE1_Q1, FIGURE1_Q2};
 use lazyetl::core::{read_manifest, replay_journal, save_warehouse, stray_files, Mode};
 use lazyetl::repo::{updates, Repository};
 use lazyetl::{EtlOp, Warehouse, WarehouseConfig};
@@ -137,22 +137,33 @@ fn reopen_seeds_planner_from_snapshot_until_drift() {
         matches!(op, EtlOp::PlanRewrite { stage, detail }
             if stage == "bootstrap" && detail.contains(needle))
     };
+    let access_data = |wh: &Warehouse| {
+        let stages = wh.query(FIGURE1_Q1).unwrap().report.stages;
+        let explain = &stages.iter().find(|(n, _)| n == "explain").unwrap().1;
+        let line = explain.lines().find(|l| l.starts_with("access data:"));
+        line.unwrap().to_string()
+    };
     let repo = figure1_repo("saved_seed", 512);
     let saved = repo.root.join("_saved");
-    {
+    let saver_access = {
         let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
+        let line = access_data(&wh);
         save_warehouse(&wh, &saved).unwrap();
-    }
-    // Undrifted reopen: both persisted sections are adopted — the
-    // planner starts with zone maps and the sorted time index already
-    // warm — and queries answer identically.
+        line
+    };
+    // Undrifted reopen: the persisted stats seed the zone maps, the time
+    // index is rebuilt from `R`, and queries answer identically.
     let re = Warehouse::open_saved(&repo.root, &saved, cfg()).unwrap();
     assert_eq!(
         re.etl_log()
-            .count_matching(|op| is_bootstrap_with(op, "planner seed: stats + time index")),
+            .count_matching(|op| is_bootstrap_with(op, "planner seed: persisted stats")),
         1,
-        "undrifted reopen adopts the persisted stats and time index"
+        "undrifted reopen seeds the planner from the persisted stats"
     );
+    // The rebuilt index seeks exactly like the saver's: same seek clause,
+    // same examined, fetched and pruned counts.
+    assert!(saver_access.contains("time-index seek"), "{saver_access}");
+    assert_eq!(access_data(&re), saver_access);
     let seeded = re.query(FIGURE1_Q2).unwrap().table;
 
     // Drifted reopen: the persisted numbers describe rows that no longer
@@ -233,7 +244,7 @@ fn undrifted_reopen_reads_nothing() {
         );
         assert!(
             re.etl_log_render()
-                .contains("planner seed: stats + time index"),
+                .contains("planner seed: persisted stats"),
             "the fast path seeds the planner: {}",
             re.etl_log_render()
         );
@@ -371,4 +382,78 @@ fn federated_save_reopen_warm_across_mounts() {
     for s in &re.stats_snapshot().sources {
         assert_eq!(s.records_extracted, 0, "{}: re-extracted", s.name);
     }
+}
+
+#[test]
+fn snapshot_with_a_saved_time_index_still_opens() {
+    use lazyetl::store::persist::{
+        embedded_footer_checksum, table_to_footered_bytes, write_file_atomic,
+    };
+    let repo = figure1_repo("saved_legacy_index", 4096);
+    let saved = repo.root.join("_saved");
+    // The layout earlier saves wrote: a `timeindex.e1.lztb` section (R's
+    // time ranges sorted by start) and an `index` manifest line naming it.
+    let expected = {
+        let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
+        let out = wh.query(FIGURE1_Q2).unwrap();
+        save_warehouse(&wh, &saved).unwrap();
+        let index = wh
+            .query(
+                "SELECT file_id, seq_no, start_time, end_time FROM mseed.records \
+                 ORDER BY start_time, file_id, seq_no",
+            )
+            .unwrap()
+            .table;
+        let buf = table_to_footered_bytes(&index).unwrap();
+        let checksum = embedded_footer_checksum(&buf).unwrap();
+        std::fs::write(saved.join("timeindex.e1.lztb"), &buf).unwrap();
+        let manifest = std::fs::read_to_string(saved.join("MANIFEST")).unwrap();
+        let mut legacy = String::new();
+        for line in manifest.lines() {
+            legacy.push_str(line);
+            legacy.push('\n');
+            if line.starts_with("stats ") {
+                let index_line = format!("index {} {checksum:x} timeindex.e1.lztb\n", buf.len());
+                legacy.push_str(&index_line);
+            }
+        }
+        assert!(legacy.contains("\nindex "), "{legacy}");
+        write_file_atomic(&saved.join("MANIFEST"), legacy.as_bytes()).unwrap();
+        out.table
+    };
+
+    let re = Warehouse::open_saved(&repo.root, &saved, cfg()).unwrap();
+    assert_eq!(re.query(FIGURE1_Q2).unwrap().table, expected);
+
+    // The next save does not carry the section forward, and once its
+    // epoch is superseded the reopen's recovery sweeps the old file.
+    save_warehouse(&re, &saved).unwrap();
+    drop(re);
+    let again = Warehouse::open_saved(&repo.root, &saved, cfg()).unwrap();
+    assert!(!saved.join("timeindex.e1.lztb").exists());
+    assert!(!saved.join("timeindex.e2.lztb").exists());
+    assert!(stray_files(&saved).is_empty(), "{:?}", stray_files(&saved));
+    assert_eq!(again.query(FIGURE1_Q2).unwrap().table, expected);
+}
+
+#[test]
+fn damaged_stats_section_is_reported_and_ignored() {
+    let repo = figure1_repo("saved_bad_stats", 4096);
+    let saved = repo.root.join("_saved");
+    let expected = {
+        let wh = Warehouse::open_lazy(&repo.root, cfg()).unwrap();
+        let out = wh.query(FIGURE1_Q2).unwrap();
+        save_warehouse(&wh, &saved).unwrap();
+        out.table
+    };
+    let stats = saved.join("stats.e1.lzst");
+    let mut bytes = std::fs::read(&stats).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&stats, &bytes).unwrap();
+
+    let re = Warehouse::open_saved(&repo.root, &saved, cfg()).unwrap();
+    let log = re.etl_log_render();
+    assert!(log.contains("planner seed: stats rejected ("), "{log}");
+    assert_eq!(re.query(FIGURE1_Q2).unwrap().table, expected);
 }
